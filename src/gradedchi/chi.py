@@ -105,16 +105,21 @@ def _class_of_value(v: ExtendedValue) -> Trichotomy:
     raise AlgebraError(f"chi(1) = {v} is negative; positivity is violated")
 
 
-def classify(cr: ChiResult) -> Trichotomy:
-    """The trichotomy class, re-derived two independent ways (dimension count
+def _checked_class(defect: int, value: ExtendedValue) -> Trichotomy:
+    """The trichotomy class, derived two independent ways (dimension defect
     and value at t = 1); the two must agree."""
-    by_defect = _class_of_defect(cr.dimM + cr.dimN - cr.dimR)
-    by_value = _class_of_value(cr.value)
+    by_defect = _class_of_defect(defect)
+    by_value = _class_of_value(value)
     if by_defect != by_value:
         raise AlgebraError(
             f"dimension count gives {by_defect} but chi(1) gives {by_value}"
         )
     return by_defect
+
+
+def classify(cr: ChiResult) -> Trichotomy:
+    """The trichotomy class, re-derived from the dimensions and the value."""
+    return _checked_class(cr.dimM + cr.dimN - cr.dimR, cr.value)
 
 
 def compute_chi(ring: GradedRing, I, J) -> ChiResult:
@@ -129,12 +134,6 @@ def compute_chi(ring: GradedRing, I, J) -> ChiResult:
     dim_r = dim_and_mult(hs_r).dim
     c, e, e1 = ab_decompose(chi, (dim_m, dim_n, dim_r))
     value = eval_at_one(chi)
-    by_defect = _class_of_defect(c)
-    by_value = _class_of_value(value)
-    if by_defect != by_value:
-        raise AlgebraError(
-            f"dimension count gives {by_defect} but chi(1) gives {by_value}"
-        )
     return ChiResult(
         chi=chi,
         dimM=dim_m,
@@ -144,7 +143,7 @@ def compute_chi(ring: GradedRing, I, J) -> ChiResult:
         e_MN=e,
         e_MN_at_1=e1,
         value=value,
-        trichotomy=by_defect,
+        trichotomy=_checked_class(c, value),
     )
 
 

@@ -137,12 +137,6 @@ class TruncatedResolution:
     def betti_degrees(self):
         return self.degrees
 
-    def min_degree(self, i: int):
-        """Smallest generator degree of F_i within the window (None if no
-        generators of degree <= d_max)."""
-        degs = self.degrees[i]
-        return min(degs) if degs else None
-
 
 def _module_offsets(rb: GradedBasis, degs, j: int):
     offs = []
@@ -169,6 +163,18 @@ def _element_vector(rb: GradedBasis, elem: dict, degs, offs, j: int) -> dict:
 
 def _scale_element(rb: GradedBasis, u, elem: dict) -> dict:
     return {h: rb.multiply_nf(u, p) for h, p in elem.items() if not p.is_zero}
+
+
+def _image_columns(rb: GradedBasis, src_degs, elems, tgt_degs, j: int) -> list:
+    """Coordinate vectors, in the degree-j piece of the free module with
+    generator degrees tgt_degs, of u * elems[g] for each g in order and each
+    basis monomial u of degree j - src_degs[g]."""
+    offs, _ = _module_offsets(rb, tgt_degs, j)
+    return [
+        _element_vector(rb, _scale_element(rb, u, elem), tgt_degs, offs, j)
+        for elem, d in zip(elems, src_degs)
+        for u in rb.basis(j - d)
+    ]
 
 
 _RES_CACHE: dict = {}
@@ -222,39 +228,19 @@ def truncated_resolution(ring: GradedRing, gens, i_max: int = 8, d_max: int = 16
                     if p.homogeneous_degree() == j
                 ]
             else:
-                older_degs = degrees[i - 2]
-                offs_older, _ = _module_offsets(rb, older_degs, j)
-                cols = []
-                for g, dg in enumerate(prev_degs):
-                    img = images[i - 1][g]
-                    for u in rb.basis(j - dg):
-                        cols.append(
-                            _element_vector(
-                                rb,
-                                _scale_element(rb, u, img),
-                                older_degs,
-                                offs_older,
-                                j,
-                            )
-                        )
+                cols = _image_columns(rb, prev_degs, images[i - 1], degrees[i - 2], j)
                 if not cols:
                     continue
                 piece = kernel_of_columns(cols, len(cols), field)
             if not piece:
                 continue
             span = EchelonSpan(field)
-            for dk, elem in zip(new_degs, new_elems):
-                for u in rb.basis(j - dk):
-                    span.add(
-                        _element_vector(
-                            rb, _scale_element(rb, u, elem), prev_degs, offs_prev, j
-                        )
-                    )
+            for col in _image_columns(rb, new_degs, new_elems, prev_degs, j):
+                span.add(col)
             for vec in piece:
-                r = span.reduce(vec)
+                r = span.add(vec)
                 if not r:
                     continue
-                span.rows[min(r)] = r
                 if i == 1:
                     elem = _decode_ring_vector(ring, rb, r, j)
                 else:
@@ -342,26 +328,9 @@ def tor_table(ring: GradedRing, I, J, i_max: int = 8, d_max: int = 16) -> TorTab
             continue
         degs_prev = res.degrees[i - 1]
         for j in range(min(degs_i), d_max + 1):
-            cols = []
-            offs_prev, _ = _module_offsets(nb, degs_prev, j)
-            for g, dg in enumerate(degs_i):
-                img = res.images[i][g]
-                for u in nb.basis(j - dg):
-                    vec: dict = {}
-                    for h, p in img.items():
-                        q = nb.multiply_nf(u, p)
-                        if q.is_zero:
-                            continue
-                        idx = nb.index(j - degs_prev[h])
-                        off = offs_prev[h]
-                        for m, c in q.terms.items():
-                            vec[off + idx[m]] = c
-                    if vec:
-                        cols.append(vec)
-            if cols:
-                r = rank_of_vectors(cols, field)
-                if r:
-                    ranks[(i, j)] = r
+            r = rank_of_vectors(_image_columns(nb, degs_i, res.images[i], degs_prev, j), field)
+            if r:
+                ranks[(i, j)] = r
 
     entries: dict = {}
     for i in range(i_max + 1):

@@ -2,10 +2,17 @@
 
 Vectors are dicts mapping column index to a nonzero coefficient. Over the
 rationals every stored row is scaled to a primitive integer vector whose
-leading (smallest-index) entry is positive; scaling is invisible to row
-spaces, so ranks and kernels are unaffected while entries stay small. The
-reduced echelon form is unique, which makes every kernel basis computed
-here canonical: identical inputs give identical output, entry for entry.
+leading (smallest-index) entry is positive; over GF(p) the leading entry is
+1. Scaling is invisible to row spaces, so ranks and kernels are unaffected
+while entries stay small.
+
+EchelonSpan.reduce is the one elimination loop. Kernels come from it by
+tracked reduction: columns are reduced left to right, each tagged with an
+identity entry, and a column that reduces to zero yields the unique relation
+expressing it through the independent columns before it. That relation,
+scaled as above, does not depend on how the reduction got there, so every
+kernel basis computed here is canonical: identical inputs give identical
+output, entry for entry.
 """
 
 from __future__ import annotations
@@ -57,25 +64,19 @@ class EchelonSpan:
     def dim(self) -> int:
         return len(self.rows)
 
-    def _normalize(self, row: dict) -> dict:
-        if self.field.p == 0:
-            return _primitive_int_row(row)
-        inv = self.field.inv(row[min(row)])
-        return {c: (v * inv) % self.field.p for c, v in row.items()}
-
     def reduce(self, vec: dict) -> dict:
         """Residual of vec modulo the current row space, canonically scaled."""
-        v = dict(vec)
-        if self.field.p == 0:
-            v = _primitive_int_row(v)
+        p = self.field.p
+        if p == 0:
+            v = _primitive_int_row(vec)
             while v:
                 lead = min(v)
                 row = self.rows.get(lead)
                 if row is None:
                     break
-                a, p = v[lead], row[lead]
-                g = gcd(a, p)
-                sv, sr = p // g, a // g
+                a, b = v[lead], row[lead]
+                g = gcd(a, b)
+                sv, sr = b // g, a // g
                 if sv != 1:
                     v = {c: val * sv for c, val in v.items()}
                 for c, val in row.items():
@@ -86,11 +87,7 @@ class EchelonSpan:
                         v.pop(c, None)
                 v = _primitive_int_row(v)
             return v
-        p = self.field.p
-        for c in list(v):
-            v[c] %= p
-            if not v[c]:
-                del v[c]
+        v = {c: val % p for c, val in vec.items() if val % p}
         while v:
             lead = min(v)
             row = self.rows.get(lead)
@@ -103,125 +100,47 @@ class EchelonSpan:
                     v[c] = nv
                 else:
                     v.pop(c, None)
-        return self._normalize(v) if v else {}
+        if not v:
+            return {}
+        inv = self.field.inv(v[min(v)])
+        return {c: (val * inv) % p for c, val in v.items()}
 
-    def add(self, vec: dict) -> bool:
-        """Insert vec; True if it enlarged the span."""
+    def add(self, vec: dict) -> dict:
+        """Insert vec; the stored residual, or {} if vec was already spanned."""
         r = self.reduce(vec)
-        if not r:
-            return False
-        self.rows[min(r)] = r
-        return True
-
-    def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
+        if r:
+            self.rows[min(r)] = r
+        return r
 
 
 def rank_of_vectors(vecs, field) -> int:
     span = EchelonSpan(field)
     for v in vecs:
-        span.add(v)
+        if v:
+            span.add(v)
     return span.dim
-
-
-def rref_rows(rows, field):
-    """Canonical reduced echelon form of a list of row vectors.
-
-    Returns (pivots, prows): the sorted pivot columns and a map pivot -> row,
-    where each pivot column occurs in exactly one row. Rows are primitive
-    integer vectors over QQ (monic over GF(p)), so the output is the unique
-    reduced echelon form up to that fixed scaling.
-    """
-    span = EchelonSpan(field)
-    for r in rows:
-        span.add(r)
-    pivots = sorted(span.rows)
-    prows = {c: dict(span.rows[c]) for c in pivots}
-    if field.p == 0:
-        for p in reversed(pivots):
-            src = prows[p]
-            for q in pivots:
-                if q >= p:
-                    break
-                tgt = prows[q]
-                a = tgt.get(p)
-                if not a:
-                    continue
-                b = src[p]
-                g = gcd(a, b)
-                st, ss = b // g, a // g
-                if st != 1:
-                    for c in tgt:
-                        tgt[c] *= st
-                for c, val in src.items():
-                    nv = tgt.get(c, 0) - ss * val
-                    if nv:
-                        tgt[c] = nv
-                    else:
-                        tgt.pop(c, None)
-                prows[q] = _primitive_int_row(tgt)
-    else:
-        pm = field.p
-        for p in reversed(pivots):
-            src = prows[p]
-            for q in pivots:
-                if q >= p:
-                    break
-                tgt = prows[q]
-                a = tgt.get(p)
-                if not a:
-                    continue
-                for c, val in src.items():
-                    nv = (tgt.get(c, 0) - a * val) % pm
-                    if nv:
-                        tgt[c] = nv
-                    else:
-                        tgt.pop(c, None)
-    return pivots, prows
 
 
 def kernel_of_columns(cols, ncols: int, field):
     """Canonical basis of the nullspace {x : sum_j x_j * cols[j] = 0}.
 
-    cols is a list of sparse column vectors; the kernel vectors are indexed
-    by column position, one per non-pivot column of the reduced echelon form,
-    in ascending column order.
+    cols is a list of sparse column vectors. Each column j is tagged with a
+    unit entry at tag + j, past every row index, and reduced against the
+    earlier columns: if its row part vanishes it depends on them, and the
+    tagged residual is the unique relation e_j - sum x_p e_p over the earlier
+    independent columns p. One kernel vector per dependent column, in
+    ascending column order, indexed by column position.
     """
-    rows: dict = {}
-    for j, col in enumerate(cols):
-        for r, c in col.items():
-            if c:
-                rows.setdefault(r, {})[j] = c
-    pivots, prows = rref_rows([rows[r] for r in sorted(rows)], field)
-    pivot_set = set(pivots)
+    tag = 1 + max((r for col in cols for r in col), default=-1)
+    span = EchelonSpan(field)
     out = []
-    if field.p == 0:
-        for f in range(ncols):
-            if f in pivot_set:
-                continue
-            vec = {f: Fraction(1)}
-            for p in pivots:
-                a = prows[p].get(f)
-                if a:
-                    vec[p] = Fraction(-a, prows[p][p])
-            out.append(_primitive_int_row(vec))
-    else:
-        pm = field.p
-        for f in range(ncols):
-            if f in pivot_set:
-                continue
-            vec = {f: 1}
-            for p in pivots:
-                a = prows[p].get(f)
-                if a:
-                    vec[p] = (-a) % pm
-            lead = min(vec)
-            if vec[lead] != 1:
-                inv = field.inv(vec[lead])
-                vec = {c: (v * inv) % pm for c, v in vec.items()}
-            out.append(vec)
+    for j in range(ncols):
+        vec = dict(cols[j]) if j < len(cols) else {}
+        vec[tag + j] = 1
+        r = span.reduce(vec)
+        lead = min(r)
+        if lead >= tag:
+            out.append({c - tag: v for c, v in r.items()})
+        else:
+            span.rows[lead] = r
     return out
-
-
-def rank_of_columns(cols, field) -> int:
-    return rank_of_vectors(cols, field)

@@ -28,9 +28,13 @@ def monomials_of_degree(weights, j):
     return out
 
 
-def dense_rank(rows):
-    """Rank of a dense matrix over QQ by textbook Gaussian elimination."""
-    rows = [[Fraction(a) for a in r] for r in rows]
+def dense_rank(rows, p=0):
+    """Rank of a dense matrix over QQ, or over GF(p) for a prime p, by
+    textbook Gaussian elimination."""
+    if p:
+        rows = [[a % p for a in r] for r in rows]
+    else:
+        rows = [[Fraction(a) for a in r] for r in rows]
     if not rows:
         return 0
     ncols = len(rows[0])
@@ -47,8 +51,12 @@ def dense_rank(rows):
         pv = rows[rank][col]
         for i in range(len(rows)):
             if i != rank and rows[i][col]:
-                f = rows[i][col] / pv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+                if p:
+                    f = rows[i][col] * pow(pv, -1, p)
+                    rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+                else:
+                    f = rows[i][col] / pv
+                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
         if rank == len(rows):
             break

@@ -1,6 +1,7 @@
 """The command-line driver: reports, formats, exit codes, bundled suite."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -210,6 +211,18 @@ def test_run_paper_suite_json(capsys):
     assert payload["check_failures"] == 0
     assert len(payload["sessions"]) == 6
     assert all(s["status"] == "ok" for s in payload["sessions"])
+
+
+GOLDENS = Path(__file__).parent / "goldens"
+
+
+@pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json")])
+@pytest.mark.parametrize("field", ["qq", "fp:32003"])
+def test_run_paper_suite_matches_golden(capsys, field, fmt, ext):
+    """The bundled-suite reports are byte-identical to the recorded ones."""
+    assert main(["--run-paper-suite", "--field", field, "--format", fmt]) == 0
+    golden = GOLDENS / f"paper_suite_{field.replace(':', '')}.{ext}"
+    assert capsys.readouterr().out == golden.read_text()
 
 
 def test_tor_text_table(tmp_path, capsys):

@@ -1,0 +1,136 @@
+"""Sparse ranks and kernels over QQ and GF(p), against a dense oracle."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from gradedchi.linalg import kernel_of_columns, rank_of_vectors
+from gradedchi.rings import QQ, field_from_name
+
+from oracles import dense_rank
+
+P = 32003
+GF = field_from_name(f"fp:{P}")
+FIELDS = [pytest.param(QQ, id="qq"), pytest.param(GF, id="gf32003")]
+
+
+def random_coeff(rng, field):
+    if field.p:
+        return rng.randrange(1, field.p)
+    return Fraction(rng.choice([-5, -3, -2, -1, 1, 2, 3, 4]), rng.choice([1, 1, 2, 3]))
+
+
+def random_columns(rng, field, nrows, ncols):
+    """Sparse columns mixing zero columns, repeated and rescaled columns, and
+    combinations of a few random columns, so kernels are usually nontrivial."""
+    basis = [
+        {r: random_coeff(rng, field) for r in rng.sample(range(nrows), rng.randint(1, min(3, nrows)))}
+        for _ in range(rng.randint(1, nrows))
+    ]
+    cols = []
+    for _ in range(ncols):
+        kind = rng.random()
+        if kind < 0.1:
+            col = {}
+        elif kind < 0.25 and cols:
+            col = dict(rng.choice(cols))
+        elif kind < 0.35 and cols:
+            c = random_coeff(rng, field)
+            col = {r: v * c for r, v in rng.choice(cols).items()}
+        else:
+            col = {}
+            for b in rng.sample(basis, rng.randint(1, min(2, len(basis)))):
+                c = random_coeff(rng, field)
+                for r, v in b.items():
+                    col[r] = col.get(r, 0) + c * v
+        if field.p:
+            col = {r: v % field.p for r, v in col.items()}
+        cols.append({r: v for r, v in col.items() if v})
+    return cols
+
+
+def dense(cols, nrows):
+    return [[col.get(r, 0) for col in cols] for r in range(nrows)]
+
+
+def annihilates(vec, cols, field):
+    acc: dict = {}
+    for j, x in vec.items():
+        for r, v in cols[j].items():
+            acc[r] = acc.get(r, 0) + x * v
+    if field.p:
+        return all(v % field.p == 0 for v in acc.values())
+    return all(v == 0 for v in acc.values())
+
+
+def canonical_lead(vec, field):
+    lead = vec[min(vec)]
+    if field.p:
+        return lead == 1 and all(0 < v < field.p for v in vec.values())
+    return lead > 0 and all(isinstance(v, int) for v in vec.values())
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("seed", range(40))
+def test_random_rank_and_kernel_against_dense_oracle(field, seed):
+    rng = random.Random(seed)
+    nrows, ncols = rng.randint(1, 8), rng.randint(1, 10)
+    cols = random_columns(rng, field, nrows, ncols)
+    rank = dense_rank(dense(cols, nrows), field.p)
+    assert rank_of_vectors(cols, field) == rank
+
+    kernel = kernel_of_columns(cols, ncols, field)
+    assert len(kernel) + rank == ncols
+    for vec in kernel:
+        assert vec and annihilates(vec, cols, field)
+        assert canonical_lead(vec, field)
+    rows = [[vec.get(j, 0) for j in range(ncols)] for vec in kernel]
+    assert dense_rank(rows, field.p) == len(kernel)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("seed", range(10))
+def test_kernel_is_independent_of_entry_order(field, seed):
+    rng = random.Random(100 + seed)
+    cols = random_columns(rng, field, 6, 9)
+    shuffled = []
+    for col in cols:
+        items = list(col.items())
+        rng.shuffle(items)
+        shuffled.append(dict(items))
+    assert kernel_of_columns(shuffled, 9, field) == kernel_of_columns(cols, 9, field)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_empty_and_zero_columns(field):
+    assert kernel_of_columns([], 0, field) == []
+    assert kernel_of_columns([], 2, field) == [{0: 1}, {1: 1}]
+    assert kernel_of_columns([{}, {}], 2, field) == [{0: 1}, {1: 1}]
+    assert rank_of_vectors([], field) == 0
+    assert rank_of_vectors([{}, {}], field) == 0
+
+
+def test_pinned_kernel_qq():
+    cols = [
+        {0: 2, 2: -4},
+        {},
+        {0: -1, 2: 2},
+        {1: Fraction(1, 2), 2: 3},
+        {0: 1, 1: Fraction(3, 2), 2: 7},
+        {1: 5},
+    ]
+    assert kernel_of_columns(cols, len(cols), QQ) == [
+        {1: 1},
+        {0: 1, 2: 2},
+        {0: 1, 3: 6, 4: -2},
+    ]
+
+
+def test_pinned_kernel_gf():
+    cols = [{0: 3, 1: 5}, {0: 6, 1: 10}, {1: 7, 2: 2}, {}, {0: 3, 1: 12, 2: 2}, {2: 9}]
+    assert kernel_of_columns(cols, len(cols), GF) == [
+        {0: 1, 1: 16001},
+        {3: 1},
+        {0: 1, 2: 1, 4: 32002},
+    ]
