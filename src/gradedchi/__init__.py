@@ -26,6 +26,7 @@ from .chi import (
     chi_series,
     classify,
     compute_chi,
+    gulliksen_chi,
     qcartier_mult,
 )
 from .errors import (
@@ -55,7 +56,6 @@ from .homology import (
     TorTable,
     TruncatedResolution,
     chi_truncated,
-    gulliksen_chi,
     naive_series,
     tor_table,
     truncated_resolution,

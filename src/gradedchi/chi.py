@@ -5,7 +5,9 @@ N = R/J it equals HS_M * HS_N / HS_R, a rational function whose expansion
 reproduces the alternating sum of graded Tor dimensions. Pulling out the
 pole at t = 1 writes chi = e(t)/(1-t)^c with c = dim M + dim N - dim R and
 e(1) a positive rational, so the value chi(1) is infinite, a positive
-rational, or zero exactly as c is positive, zero, or negative.
+rational, or zero exactly as c is positive, zero, or negative. Over a
+regular ambient ring the same value is the finite alternating Tor sum
+whenever the intersection has finite length (Serre).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .arith import (
 )
 from .errors import AlgebraError, HomogeneityError, ImproperIntersectionError
 from .hilbert import HilbertSeries, dim_and_mult, hilbert_series, weights_denominator
-from .rings import GradedRing, Poly
+from .rings import GradedRing, Poly, PolyRing
 
 
 class Trichotomy(enum.Enum):
@@ -145,6 +147,28 @@ def compute_chi(ring: GradedRing, I, J) -> ChiResult:
         value=value,
         trichotomy=_checked_class(c, value),
     )
+
+
+def gulliksen_chi(ambient: PolyRing, I, J) -> int:
+    """The alternating sum of the lengths of Tor_i(S/I, S/J) over the ambient
+    polynomial ring S, for ideals whose intersection has finite length.
+
+    By Serre's formula the sum is HS_{S/I} * HS_{S/J} / HS_S, a polynomial
+    here, evaluated at t = 1: the closed-form value of compute_chi over S.
+    """
+    if isinstance(ambient, GradedRing):
+        if ambient.relations:
+            raise ValueError("the ambient ring for this invariant must have no relations")
+        ambient = ambient.ambient
+    S = GradedRing(ambient, ())
+    I, J = tuple(I), tuple(J)
+    hs = hilbert_series(S, I + J)
+    if hs.is_zero or dim_and_mult(hs).dim > 0:
+        raise ImproperIntersectionError("intersection not proper over ambient ring")
+    value = compute_chi(S, I, J).value
+    if isinstance(value, Infinity) or value.denominator != 1:
+        raise AlgebraError(f"alternating Tor sum {value} is not an integer; internal inconsistency")
+    return int(value)
 
 
 def cartier_mult(ring: GradedRing, f: Poly, gens) -> int:

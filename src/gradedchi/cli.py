@@ -17,10 +17,10 @@ from importlib import resources
 from pathlib import Path
 
 from .arith import Infinity, IntPoly, format_t_poly, series_expand
-from .chi import chi_series, compute_chi, qcartier_mult
+from .chi import chi_series, compute_chi, gulliksen_chi, qcartier_mult
 from .errors import AlgebraError, SessionError
-from .hilbert import hilbert_series
-from .homology import chi_truncated, gulliksen_chi, naive_series, tor_table
+from .hilbert import dim_and_mult, hilbert_series
+from .homology import chi_truncated, naive_series, tor_table
 from .rings import field_from_name
 from .session import Session, parse_session
 
@@ -152,7 +152,7 @@ def _cmd_hilbert(session: Session, cmd, opts: RunOptions):
         data["zero"] = True
         lines.append("module = 0 (unit ideal)")
     else:
-        dm = hs.dim_and_mult()
+        dm = dim_and_mult(hs)
         data["dim"] = dm.dim
         data["e_at_1"] = fmt_q(dm.mult)
         lines.append(f"dim = {dm.dim}")
@@ -437,7 +437,8 @@ def _run_suite(field, opts: RunOptions, fmt: str) -> int:
     total_failures = 0
     errored = False
     suite = []
-    for name, text in bundled_sessions():
+    sessions = bundled_sessions()
+    for name, text in sessions:
         try:
             session = parse_session(text, field)
             report = run(session, opts)
@@ -456,7 +457,7 @@ def _run_suite(field, opts: RunOptions, fmt: str) -> int:
         else:
             suite.append({"name": name, **report.as_dict()})
     if fmt == "text":
-        sys.stdout.write(f"suite: {len(bundled_sessions())} sessions, {total_failures} check failures\n")
+        sys.stdout.write(f"suite: {len(sessions)} sessions, {total_failures} check failures\n")
     else:
         sys.stdout.write(
             json.dumps({"sessions": suite, "check_failures": total_failures}, indent=2) + "\n"

@@ -115,9 +115,6 @@ class HilbertSeries:
             return [0] * (n + 1)
         return [int(c) for c in series_expand(self.rational(), n)]
 
-    def dim_and_mult(self) -> DimMult:
-        return dim_and_mult(self)
-
 
 def dim_and_mult(hs: HilbertSeries) -> DimMult:
     """Dimension (pole order at t = 1) and multiplicity (value there after

@@ -6,7 +6,7 @@ nullspace of an exact matrix over k on standard-monomial bases, and minimal
 generators are the kernel vectors that survive reduction against products of
 the generators already found (degreewise Nakayama). Tensoring the truncated
 resolution with R/J and taking ranks gives the graded Tor table, which
-cross-checks the closed-form chi and feeds the ambient-ring alternating sum.
+cross-checks the closed-form chi.
 
 Everything here is exact: entries of the Tor table are true dimensions for
 all internal degrees <= d_max, because a generator of internal degree above
@@ -19,11 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AlgebraError, HomogeneityError, ImproperIntersectionError
+from .errors import AlgebraError, HomogeneityError
 from .groebner import GroebnerBasis, reduce_against, standard_monomials
-from .hilbert import dim_and_mult, hilbert_series
 from .linalg import EchelonSpan, kernel_of_columns, rank_of_vectors
-from .rings import GradedRing, Poly, PolyRing, mono_mul
+from .rings import GradedRing, Poly, mono_mul
 
 
 class GradedBasis:
@@ -133,9 +132,6 @@ class TruncatedResolution:
     d_max: int
     degrees: tuple
     images: tuple
-
-    def betti_degrees(self):
-        return self.degrees
 
 
 def _module_offsets(rb: GradedBasis, degs, j: int):
@@ -372,45 +368,3 @@ def naive_series(tt: TorTable, n: int):
     if n > tt.i_max:
         raise ValueError(f"naive series to order {n} needs i_max >= {n}")
     return [tt.row_total(i) * (1 if i % 2 == 0 else -1) for i in range(n + 1)]
-
-
-# ---------------------------------------------------------------------------
-# the ambient-ring alternating sum
-
-
-def gulliksen_chi(ambient: PolyRing, I, J, d_start: int | None = None) -> int:
-    """The exact alternating sum of total Tor lengths over the ambient
-    polynomial ring, for quotients with finite-length intersection.
-
-    The resolution over the ambient ring has length at most the number of
-    variables, so the sum is finite; the degree window grows geometrically
-    until every Tor row ends in two zero degrees and no resolution generator
-    sits near the ceiling.
-    """
-    if isinstance(ambient, GradedRing):
-        if ambient.relations:
-            raise ValueError("the ambient ring for this invariant must have no relations")
-        ambient = ambient.ambient
-    S = GradedRing(ambient, ())
-    I = _validated_gens(S, I)
-    J = _validated_gens(S, J)
-    hs = hilbert_series(S, I + J)
-    if hs.is_zero or dim_and_mult(hs).dim > 0:
-        raise ImproperIntersectionError("intersection not proper over ambient ring")
-
-    nv = ambient.nvars
-    maxdeg = max([g.max_wdeg() for g in I + J] or [1])
-    d = d_start if d_start is not None else max(8, 2 * maxdeg + nv * max(ambient.weights))
-    while True:
-        tt = tor_table(S, I, J, i_max=nv, d_max=d)
-        top_gen = max((max(degs) for degs in tt.betti if degs), default=0)
-        stable = top_gen <= d - 2 and all(tt.row_complete(i) for i in range(nv + 1))
-        if stable:
-            total = 0
-            for i in range(nv + 1):
-                v = tt.row_total(i)
-                total += v if i % 2 == 0 else -v
-            return total
-        d *= 2
-        if d > 4096:
-            raise AlgebraError("alternating sum failed to stabilize; degree window exhausted")

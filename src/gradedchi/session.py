@@ -324,7 +324,12 @@ class _Parser:
             flags = self.parse_flags()
         elif kind == "cartier":
             poly = self.parse_poly()
+            et = self.peek()
             number = self.expect_int("the integer multiple e")
+            if number < 1:
+                raise SessionError(
+                    f"the multiple e is {number}; it must be >= 1", et.line, et.col
+                )
             idents = (self.ideal_ref(),)
         else:  # unreachable: filtered by the caller
             raise SessionError(f"unknown command {kind!r}", t.line, t.col)

@@ -11,10 +11,17 @@ import random
 from fractions import Fraction
 
 from gradedchi.arith import IntPoly, eval_at_one, ratfun_normalize, series_expand
-from gradedchi.chi import Trichotomy, ab_decompose, chi_series, compute_chi, qcartier_mult
+from gradedchi.chi import (
+    Trichotomy,
+    ab_decompose,
+    chi_series,
+    compute_chi,
+    gulliksen_chi,
+    qcartier_mult,
+)
 from gradedchi.groebner import buchberger, standard_monomials
 from gradedchi.hilbert import dim_and_mult, hilbert_series
-from gradedchi.homology import chi_truncated, gulliksen_chi, naive_series, tor_table
+from gradedchi.homology import chi_truncated, naive_series, tor_table
 from gradedchi.rings import GradedRing, PolyRing
 
 from oracles import poly_to_dict, quotient_piece_dim, random_homogeneous_poly, random_monomial

@@ -158,6 +158,15 @@ def test_main_computation_error_exit_one(tmp_path, capsys):
     assert "not proper" in captured.err
 
 
+def test_main_zero_cartier_multiple_exit_one(tmp_path, capsys):
+    f = tmp_path / "cartier0.session"
+    f.write_text(CONIC.replace("cartier x0 2 C;", "cartier x0 0 C;"))
+    assert main([str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("gradedchi: error: line 5, col 12:")
+
+
 def test_main_bad_field_exit_one(capsys):
     assert main(["--field", "fp:6", "-"]) == 1
     assert "error" in capsys.readouterr().err

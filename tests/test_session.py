@@ -149,6 +149,17 @@ def test_cartier_greedy_polynomial_parse():
     assert cmd.number == 2
 
 
+def test_cartier_multiple_must_be_positive():
+    text = (
+        "ring R { vars x0, x1, x2; relations x0*x2 - x1^2; }\n"
+        "ideal C = (x1, x2);\n"
+        "cartier x0 0 C;"
+    )
+    with pytest.raises(SessionError, match="must be >= 1") as ei:
+        parse_session(text)
+    assert (ei.value.line, ei.value.col) == (3, 12)
+
+
 def test_prime_field_sessions():
     s = parse_session("ring R { vars x, y; }\nideal I = (5*x + y);", field_from_name("fp:5"))
     (g,) = s.ideals["I"]
