@@ -468,7 +468,10 @@ def _run_suite(field, opts: RunOptions, fmt: str) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    parser = build_arg_parser()
+    args = parser.parse_args(argv)
+    if args.series_terms < 0:
+        parser.error(f"argument --series-terms: must be non-negative, got {args.series_terms}")
     try:
         field = field_from_name(args.field)
     except ValueError as exc:

@@ -1,10 +1,14 @@
 """Brute-force truncated Tor computation by graded linear algebra.
 
-A minimal graded free resolution of R/I over R is built degree by degree:
-each graded piece of the kernel of the previous map is computed as the
-nullspace of an exact matrix over k on standard-monomial bases, and minimal
-generators are the kernel vectors that survive reduction against products of
-the generators already found (degreewise Nakayama). Tensoring the truncated
+A minimal graded free resolution of R/I over R is built one internal degree
+at a time across all homological steps: each graded piece of the kernel of
+the previous map is computed as the nullspace of an exact matrix over k on
+standard-monomial bases, and minimal generators are the kernel vectors that
+survive reduction against products of the generators already found
+(degreewise Nakayama). Each degree's matrix of products is built once: at
+step i it is the span for the minimal-generator test, and with the new
+generators' own columns appended it is the matrix whose kernel step i + 1
+resolves (La Scala and Stillman, JSC 1998). Tensoring the truncated
 resolution with R/J and taking ranks gives the graded Tor table, which
 cross-checks the closed-form chi.
 
@@ -194,9 +198,6 @@ def truncated_resolution(ring: GradedRing, gens, i_max: int = 8, d_max: int = 16
     field = ring.field
     minw = min(ring.weights)
 
-    degrees = [(0,)]
-    images = [()]
-
     candidates = []
     for g in gens:
         q = rb.nf_poly(g)
@@ -204,59 +205,47 @@ def truncated_resolution(ring: GradedRing, gens, i_max: int = 8, d_max: int = 16
             candidates.append(q)
     candidates.sort(key=lambda p: (p.homogeneous_degree(), p.canonical_key()))
 
-    for i in range(1, i_max + 1):
-        prev_degs = degrees[i - 1]
-        if not prev_degs:
-            degrees.append(())
-            images.append(())
-            continue
-        new_degs: list = []
-        new_elems: list = []
-        lowest = min(prev_degs) + (minw if i > 1 else 0)
-        if i == 1:
-            lowest = candidates[0].homogeneous_degree() if candidates else d_max + 1
-        for j in range(lowest, d_max + 1):
-            offs_prev, _ = _module_offsets(rb, prev_degs, j)
-            if i == 1:
-                piece = [
-                    _element_vector(rb, {0: p}, prev_degs, offs_prev, j)
-                    for p in candidates
-                    if p.homogeneous_degree() == j
-                ]
-            else:
-                cols = _image_columns(rb, prev_degs, images[i - 1], degrees[i - 2], j)
-                if not cols:
-                    continue
+    # cols: the degree-j products of F_i's earlier generators, then the
+    # residual r of each generator accepted at degree j (its own u = 1
+    # column, since r decodes to a normal form); together the degree-j
+    # matrix of d_i. Generators arrive in ascending degree, so offsets over
+    # the partial degree lists are final for every degree <= j.
+    degrees = [[0]] + [[] for _ in range(i_max)]
+    images = [[] for _ in range(i_max + 1)]
+    start = candidates[0].homogeneous_degree() if candidates else d_max + 1
+    for j in range(start, d_max + 1):
+        piece = [
+            _element_vector(rb, {0: p}, (0,), (0,), j)
+            for p in candidates
+            if p.homogeneous_degree() == j
+        ]
+        for i in range(1, i_max + 1):
+            prev_degs = degrees[i - 1]
+            cols = []
+            if piece or (degrees[i] and i < i_max):
+                cols = _image_columns(rb, degrees[i], images[i], prev_degs, j)
+            if piece:
+                offs_prev, _ = _module_offsets(rb, prev_degs, j)
+                span = EchelonSpan(field)
+                for col in cols:
+                    span.add(col)
+                for vec in piece:
+                    r = span.add(vec)
+                    if r:
+                        degrees[i].append(j)
+                        images[i].append(_decode_module_vector(ring, rb, r, prev_degs, offs_prev, j))
+                        cols.append(r)
+            # never leave the i-loop early: over an Artinian ring F_i can have
+            # degree-j products, which step i + 1 needs, when F_{i-1} has none
+            piece = []
+            if cols and i < i_max and j >= degrees[i][0] + minw:
                 piece = kernel_of_columns(cols, len(cols), field)
-            if not piece:
-                continue
-            span = EchelonSpan(field)
-            for col in _image_columns(rb, new_degs, new_elems, prev_degs, j):
-                span.add(col)
-            for vec in piece:
-                r = span.add(vec)
-                if not r:
-                    continue
-                if i == 1:
-                    elem = _decode_ring_vector(ring, rb, r, j)
-                else:
-                    elem = _decode_module_vector(ring, rb, r, prev_degs, offs_prev, j)
-                new_degs.append(j)
-                new_elems.append(elem)
-        degrees.append(tuple(new_degs))
-        images.append(tuple(new_elems))
 
     res = TruncatedResolution(
-        ring, gens, i_max, d_max, tuple(degrees), tuple(images)
+        ring, gens, i_max, d_max, tuple(map(tuple, degrees)), tuple(map(tuple, images))
     )
     _RES_CACHE[key] = res
     return res
-
-
-def _decode_ring_vector(ring: GradedRing, rb: GradedBasis, vec: dict, j: int) -> dict:
-    basis = rb.basis(j)
-    f = ring.field
-    return {0: Poly(ring.ambient, {basis[pos]: f.coerce(c) for pos, c in vec.items()})}
 
 
 def _decode_module_vector(

@@ -178,6 +178,17 @@ def test_main_bad_flag_usage_exit_one(capsys):
     assert ei.value.code == 1
 
 
+def test_main_negative_series_terms_exit_one(tmp_path, capsys):
+    f = tmp_path / "conic.session"
+    f.write_text(CONIC)
+    with pytest.raises(SystemExit) as ei:
+        main(["--series-terms", "-1", str(f)])
+    assert ei.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "gradedchi: error: argument --series-terms: must be non-negative, got -1" in captured.err
+
+
 def test_prime_field_flag(tmp_path, capsys):
     f = tmp_path / "mod.session"
     f.write_text("ring R { vars x, y; }\nideal I = (x^2, x*y, y^2);\nhilbert I;\n")

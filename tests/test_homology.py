@@ -1,6 +1,8 @@
 """Truncated minimal resolutions, Tor tables, the ambient alternating sum."""
 
 import ast
+import hashlib
+import json
 import random
 from pathlib import Path
 
@@ -20,7 +22,16 @@ from gradedchi.homology import (
 )
 from gradedchi.rings import GradedRing, PolyRing, field_from_name
 
-from oracles import poly_to_dict, quotient_dims, random_homogeneous_poly, random_monomial
+from oracles import (
+    dense_rank,
+    ideal_piece_rows,
+    monomials_of_degree,
+    poly_to_dict,
+    quotient_dims,
+    quotient_piece_dim,
+    random_homogeneous_poly,
+    random_monomial,
+)
 
 
 def cubic_cone():
@@ -311,3 +322,138 @@ def test_homology_shares_no_module_with_the_closed_form():
             imported.update(a.name for a in node.names)
     forbidden = {"hilbert", "chi", "gradedchi.hilbert", "gradedchi.chi"}
     assert not imported & forbidden
+
+
+# ---------------------------------------------------------------------------
+# exactness and recorded resolutions on seeded random quotient rings
+
+
+def _random_quotient(rng, field, artinian=False):
+    """A random quotient of k[x0, x1(, x2)] with weights in {1, 2, 3}, and an
+    ideal of it. An Artinian ring has every square of a variable as a
+    relation; otherwise up to two random homogeneous relations."""
+    nv = rng.randrange(2, 4)
+    weights = tuple(rng.choice((1, 1, 2, 3)) for _ in range(nv))
+    ring = PolyRing(tuple(f"x{i}" for i in range(nv)), weights, field=field)
+
+    def polys(count, low, high):
+        out = []
+        while len(out) < count:
+            p = random_homogeneous_poly(rng, ring, rng.randrange(low, high))
+            if p is not None:
+                out.append(p)
+        return out
+
+    rels = [x * x for x in ring.gens()] if artinian else polys(rng.randrange(0, 3), 2, 5)
+    return GradedRing(ring, rels), tuple(polys(rng.randrange(1, 3), 1, 4))
+
+
+def _rank_mod_relations(weights, rel_dicts, degs, elems, tgt_degs, j, p):
+    """Rank over k of the degree-j piece of the R-linear map sending the
+    generators (degrees degs) to elems in the free R-module on tgt_degs:
+    dense rows of every u * elems[g] in ambient-monomial coordinates, taken
+    modulo rows spanning the relation submodule."""
+    blocks = [monomials_of_degree(weights, j - d) for d in tgt_degs]
+    offs = [sum(len(b) for b in blocks[:h]) for h in range(len(blocks))]
+    width = sum(len(b) for b in blocks)
+    index = [{m: offs[h] + k for k, m in enumerate(b)} for h, b in enumerate(blocks)]
+    img = []
+    for elem, d in zip(elems, degs):
+        for u in monomials_of_degree(weights, j - d):
+            row = [0] * width
+            for h, q in elem.items():
+                for m, c in poly_to_dict(q).items():
+                    row[index[h][tuple(a + b for a, b in zip(m, u))]] += c
+            img.append(row)
+    rel = [
+        [0] * off + r + [0] * (width - off - len(r))
+        for off, d in zip(offs, tgt_degs)
+        for r in ideal_piece_rows(weights, rel_dicts, j - d)[1]
+    ]
+    if p:
+        img = [[int(a) for a in r] for r in img]
+        rel = [[int(a) for a in r] for r in rel]
+    return dense_rank(img + rel, p) - dense_rank(rel, p)
+
+
+def _assert_exact(R, I, i_max, d_max):
+    """ker d_i = im d_{i+1} in every degree <= d_max for 1 <= i < i_max, and
+    coker d_1 = R/I, with ranks from dense elimination on ambient
+    monomials: no GradedBasis, no library column code, no library
+    elimination."""
+    res = truncated_resolution(R, I, i_max, d_max)
+    weights, p = R.ambient.weights, R.field.p
+    rel_dicts = [poly_to_dict(r) for r in R.relations]
+    gen_dicts = [poly_to_dict(g) for g in I]
+    ranks = {}
+    for i in range(1, i_max + 1):
+        for j in range(d_max + 1):
+            ranks[i, j] = _rank_mod_relations(
+                weights, rel_dicts, res.degrees[i], res.images[i], res.degrees[i - 1], j, p
+            )
+    for j in range(d_max + 1):
+        dim_R = quotient_piece_dim(weights, rel_dicts, j)
+        assert dim_R - ranks[1, j] == quotient_piece_dim(weights, rel_dicts + gen_dicts, j)
+        for i in range(1, i_max):
+            dim_F = sum(quotient_piece_dim(weights, rel_dicts, j - d) for d in res.degrees[i])
+            assert dim_F - ranks[i, j] == ranks[i + 1, j], (i, j, res.degrees)
+
+
+@pytest.mark.parametrize("field, seed", [("qq", 5), ("fp:32003", 6)])
+def test_resolution_is_exact_randomized(field, seed):
+    rng = random.Random(seed)
+    for trial in range(12):
+        R, I = _random_quotient(rng, field_from_name(field), artinian=trial % 2 == 0)
+        _assert_exact(R, I, i_max=4, d_max=6)
+
+
+RESOLUTION_GOLDENS = Path(__file__).parent / "goldens" / "resolutions.json"
+
+
+def _resolution_cases():
+    """(name, ring, ideal, i_max, d_max) for the recorded resolutions."""
+    cases = []
+    for field in ("qq", "fp:32003"):
+        k = field_from_name(field)
+        r = PolyRing(("x", "y", "z", "w"), field=k)
+        x, y, z, w = r.gens()
+        cases.append((f"two_planes-{field}", GradedRing(r, [x * z, x * w, y * z, y * w]), (x, y, w), 5, 7))
+        r = PolyRing(("x", "y", "z"), field=k)
+        x, y, z = r.gens()
+        cases.append((f"cubic_cone-{field}", GradedRing(r, [x**3 + y**3 + z**3]), (x + y, z), 8, 14))
+    for seed in range(20):
+        field = ("qq", "fp:32003")[seed % 2]
+        R, I = _random_quotient(random.Random(700 + seed), field_from_name(field), artinian=seed % 4 < 2)
+        cases.append((f"random-{seed}-{field}", R, I, 4, 7))
+    return cases
+
+
+def _resolution_digest(res):
+    """sha256 over the generator degrees and every image, entry for entry."""
+    images = tuple(
+        tuple(tuple((h, p.canonical_key()) for h, p in sorted(img.items())) for img in step)
+        for step in res.images
+    )
+    return hashlib.sha256(repr((res.degrees, images)).encode()).hexdigest()
+
+
+def record_resolution_goldens():
+    """Rewrite tests/goldens/resolutions.json from the current code; run as
+    `PYTHONPATH=src:tests python -c "import test_homology as t; t.record_resolution_goldens()"`."""
+    out = {}
+    for name, R, I, i_max, d_max in _resolution_cases():
+        res = truncated_resolution(R, I, i_max, d_max)
+        out[name] = {"betti": [len(d) for d in res.degrees], "sha256": _resolution_digest(res)}
+    lines = (f"  {json.dumps(name)}: {json.dumps(entry)}" for name, entry in out.items())
+    RESOLUTION_GOLDENS.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+
+
+def test_resolutions_match_golden():
+    """Generator degrees and images are the recorded ones, entry for entry."""
+    golden = json.loads(RESOLUTION_GOLDENS.read_text())
+    cases = _resolution_cases()
+    assert sorted(golden) == sorted(name for name, *_ in cases)
+    for name, R, I, i_max, d_max in cases:
+        res = truncated_resolution(R, I, i_max, d_max)
+        got = {"betti": [len(d) for d in res.degrees], "sha256": _resolution_digest(res)}
+        assert got == golden[name], name
