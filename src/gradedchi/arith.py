@@ -133,7 +133,6 @@ class IntPoly:
 
 ZERO = IntPoly()
 ONE = IntPoly((1,))
-ONE_MINUS_T = IntPoly((1, -1))
 
 
 def format_t_poly(p: IntPoly, var: str = "t") -> str:

@@ -470,8 +470,13 @@ def _run_suite(field, opts: RunOptions, fmt: str) -> int:
 def main(argv=None) -> int:
     parser = build_arg_parser()
     args = parser.parse_args(argv)
-    if args.series_terms < 0:
-        parser.error(f"argument --series-terms: must be non-negative, got {args.series_terms}")
+    for flag, value in (
+        ("--imax", args.imax),
+        ("--dmax", args.dmax),
+        ("--series-terms", args.series_terms),
+    ):
+        if value < 0:
+            parser.error(f"argument {flag}: must be non-negative, got {value}")
     try:
         field = field_from_name(args.field)
     except ValueError as exc:

@@ -30,12 +30,11 @@ from .rings import (
 class GroebnerBasis:
     """A reduced Groebner basis; generators are monic and sorted by leading monomial."""
 
-    __slots__ = ("ring", "generators", "_graded_basis")
+    __slots__ = ("ring", "generators")
 
     def __init__(self, ring: PolyRing, generators):
         self.ring = ring
         self.generators = tuple(generators)
-        self._graded_basis = None  # lazy cache used by the homology layer
 
     @property
     def order(self):

@@ -25,8 +25,6 @@ from .errors import AlgebraError, HomogeneityError
 from .groebner import MonomialIdeal, leading_ideal, minimalize_monomials
 from .rings import GradedRing, mono_is_one, wdeg
 
-_NUMERATOR_CACHE: dict = {}
-
 
 def weights_denominator(weights) -> IntPoly:
     """The canonical Hilbert-series denominator prod_i (1 - t^{d_i})."""
@@ -52,8 +50,8 @@ def hilbert_numerator(mi, weights) -> IntPoly:
 
     Accepts a MonomialIdeal or any iterable of exponent tuples. Splits on the
     variable occurring in the most minimal generators and recurses via
-    N(I) = N(I + <x_v>) + t^{w_v} * N(I : x_v), memoizing on the canonical
-    generator set.
+    N(I) = N(I + <x_v>) + t^{w_v} * N(I : x_v) until the generators are
+    pairwise coprime.
     """
     gens = mi.generators if isinstance(mi, MonomialIdeal) else minimalize_monomials(mi)
     return _numerator(gens, tuple(weights))
@@ -69,10 +67,6 @@ def _numerator(gens, weights) -> IntPoly:
         for m in gens:
             out = out * (ONE - IntPoly.t_power(wdeg(m, weights)))
         return out
-    key = (gens, weights)
-    hit = _NUMERATOR_CACHE.get(key)
-    if hit is not None:
-        return hit
     nvars = len(weights)
     counts = [0] * nvars
     for m in gens:
@@ -85,9 +79,7 @@ def _numerator(gens, weights) -> IntPoly:
     colon = minimalize_monomials(
         tuple(m[:v] + (m[v] - 1 if m[v] else 0,) + m[v + 1 :] for m in gens)
     )
-    out = _numerator(plus, weights) + IntPoly.t_power(weights[v]) * _numerator(colon, weights)
-    _NUMERATOR_CACHE[key] = out
-    return out
+    return _numerator(plus, weights) + IntPoly.t_power(weights[v]) * _numerator(colon, weights)
 
 
 class DimMult(NamedTuple):

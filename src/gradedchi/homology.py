@@ -26,15 +26,16 @@ from dataclasses import dataclass
 from .errors import AlgebraError, HomogeneityError
 from .groebner import GroebnerBasis, reduce_against, standard_monomials
 from .linalg import EchelonSpan, kernel_of_columns, rank_of_vectors
-from .rings import GradedRing, Poly, mono_mul
+from .rings import GradedRing, Poly, ideal_key, mono_mul
 
 
 class GradedBasis:
     """Deterministic standard-monomial bases of the graded pieces of a quotient.
 
-    Wraps a Groebner basis with caches for piece bases, monomial positions,
-    and monomial normal forms, so repeated multiplications during resolution
-    building reduce each distinct monomial only once.
+    Wraps a Groebner basis with its own dicts of piece bases, monomial
+    positions and monomial normal forms, so repeated multiplications during
+    resolution building reduce each distinct monomial only once. The ring
+    memoises one instance per ideal (see _graded_basis).
     """
 
     __slots__ = ("gb", "ring", "_basis", "_index", "_nf")
@@ -72,18 +73,6 @@ class GradedBasis:
             self._nf[m] = p
         return p
 
-    def nf_poly(self, p: Poly) -> Poly:
-        f = self.ring.field
-        acc: dict = {}
-        for m, c in p.terms.items():
-            for m2, c2 in self.nf_monomial(m).terms.items():
-                s = f.add(acc.get(m2, f.zero), f.mul(c, c2))
-                if s:
-                    acc[m2] = s
-                else:
-                    acc.pop(m2, None)
-        return Poly(self.ring, acc)
-
     def multiply_nf(self, u, p: Poly) -> Poly:
         """Normal form of (monomial u) * p; p need not be reduced."""
         f = self.ring.field
@@ -98,11 +87,9 @@ class GradedBasis:
         return Poly(self.ring, acc)
 
 
-def graded_basis_for(gb: GroebnerBasis) -> GradedBasis:
-    """A per-basis cached GradedBasis, shared across computations."""
-    if gb._graded_basis is None:
-        gb._graded_basis = GradedBasis(gb)
-    return gb._graded_basis
+def _graded_basis(ring: GradedRing, gens=()) -> GradedBasis:
+    """The ring's memoised GradedBasis of R/<gens>."""
+    return ring.cached(("graded_basis", ideal_key(gens)), lambda: GradedBasis(ring.groebner(gens)))
 
 
 def _validated_gens(ring: GradedRing, gens):
@@ -177,30 +164,26 @@ def _image_columns(rb: GradedBasis, src_degs, elems, tgt_degs, j: int) -> list:
     ]
 
 
-_RES_CACHE: dict = {}
-
-
 def truncated_resolution(ring: GradedRing, gens, i_max: int = 8, d_max: int = 16):
     """Minimal graded free resolution of R/<gens> over R, exact in all
-    internal degrees <= d_max through homological degree i_max."""
+    internal degrees <= d_max through homological degree i_max; memoised on
+    the ring."""
     gens = _validated_gens(ring, gens)
-    key = (
-        ring.canonical_key(),
-        tuple(sorted(g.canonical_key() for g in gens)),
-        i_max,
-        d_max,
+    return ring.cached(
+        ("resolution", ideal_key(gens), i_max, d_max),
+        lambda: _resolve(ring, gens, i_max, d_max),
     )
-    hit = _RES_CACHE.get(key)
-    if hit is not None:
-        return hit
 
-    rb = graded_basis_for(ring.relations_gb())
+
+def _resolve(ring: GradedRing, gens, i_max: int, d_max: int) -> TruncatedResolution:
+    rb = _graded_basis(ring)
     field = ring.field
     minw = min(ring.weights)
 
+    one = (0,) * ring.nvars
     candidates = []
     for g in gens:
-        q = rb.nf_poly(g)
+        q = rb.multiply_nf(one, g)
         if not q.is_zero:
             candidates.append(q)
     candidates.sort(key=lambda p: (p.homogeneous_degree(), p.canonical_key()))
@@ -241,11 +224,9 @@ def truncated_resolution(ring: GradedRing, gens, i_max: int = 8, d_max: int = 16
             if cols and i < i_max and j >= degrees[i][0] + minw:
                 piece = kernel_of_columns(cols, len(cols), field)
 
-    res = TruncatedResolution(
+    return TruncatedResolution(
         ring, gens, i_max, d_max, tuple(map(tuple, degrees)), tuple(map(tuple, images))
     )
-    _RES_CACHE[key] = res
-    return res
 
 
 def _decode_module_vector(
@@ -303,7 +284,7 @@ def tor_table(ring: GradedRing, I, J, i_max: int = 8, d_max: int = 16) -> TorTab
     resolution of R/I with R/J and taking ranks per graded piece."""
     J = _validated_gens(ring, J)
     res = truncated_resolution(ring, I, i_max + 1, d_max)
-    nb = graded_basis_for(ring.groebner(J))
+    nb = _graded_basis(ring, J)
     field = ring.field
 
     ranks: dict = {}

@@ -480,15 +480,21 @@ class Poly:
         return f"<Poly {self}>"
 
 
+def ideal_key(gens):
+    """Canonical key of a generating set: its generators' canonical forms, sorted."""
+    return tuple(sorted(g.canonical_key() for g in gens))
+
+
 class GradedRing:
     """A graded quotient R = S/(relations), presented over an ambient PolyRing.
 
     Relations must be homogeneous of positive weighted degree, so R_0 is the
-    ground field. Groebner bases of (relations + extra generators) are cached
-    on the ring; the cache is invisible to callers.
+    ground field. Everything derived from the ring (Groebner bases, graded
+    piece bases, resolutions) is memoised in its one memo, keyed by a
+    namespaced tuple, and freed with the ring.
     """
 
-    __slots__ = ("ambient", "relations", "_gb_cache")
+    __slots__ = ("ambient", "relations", "_memo")
 
     def __init__(self, ambient: PolyRing, relations=()):
         rels = []
@@ -505,7 +511,7 @@ class GradedRing:
             rels.append(r)
         self.ambient = ambient
         self.relations = tuple(rels)
-        self._gb_cache = {}
+        self._memo: dict = {}
 
     @property
     def names(self):
@@ -527,20 +533,24 @@ class GradedRing:
     def nvars(self):
         return self.ambient.nvars
 
+    def cached(self, key, compute):
+        """The memoised value under key, from compute() on first use."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
+
     def groebner(self, gens=()):
-        """Reduced Groebner basis of (relations + gens), cached."""
+        """Reduced Groebner basis of (relations + gens), memoised."""
         from .groebner import buchberger
 
         gens = tuple(gens)
         for g in gens:
             if not isinstance(g, Poly) or g.ring != self.ambient:
                 raise ValueError("generator does not live in the ambient ring")
-        key = tuple(sorted(g.canonical_key() for g in gens))
-        gb = self._gb_cache.get(key)
-        if gb is None:
-            gb = buchberger(self.relations + gens, self.ambient)
-            self._gb_cache[key] = gb
-        return gb
+        return self.cached(
+            ("groebner", ideal_key(gens)), lambda: buchberger(self.relations + gens, self.ambient)
+        )
 
     def relations_gb(self):
         return self.groebner(())

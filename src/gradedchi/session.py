@@ -387,8 +387,11 @@ class _Parser:
             if self.at_sym("/") and self.toks[self.pos + 1].kind == "INT":
                 self.advance()
                 d = self.expect_int("a denominator")
-                if d == 0:
-                    raise SessionError("division by zero in a coefficient", t.line, t.col)
+                field = self.ambient.field
+                if d == 0 or field.p and Fraction(v, d).denominator % field.p == 0:
+                    raise SessionError(
+                        f"division by zero in a coefficient over {field!r}", t.line, t.col
+                    )
                 return self.ambient.constant(Fraction(v, d))
             return self.ambient.constant(v)
         if t.kind == "IDENT":

@@ -189,6 +189,29 @@ def test_main_negative_series_terms_exit_one(tmp_path, capsys):
     assert "gradedchi: error: argument --series-terms: must be non-negative, got -1" in captured.err
 
 
+@pytest.mark.parametrize(
+    "flag,value,command", [("--imax", "-1", "tor I J;"), ("--dmax", "-5", "chi I J;")]
+)
+def test_main_negative_window_exit_one(tmp_path, capsys, flag, value, command):
+    f = tmp_path / "cubic.session"
+    f.write_text(CUBIC_CHECK.replace("check I J --imax 4 --dmax 8;", command))
+    with pytest.raises(SystemExit) as ei:
+        main([flag, value, str(f)])
+    assert ei.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"gradedchi: error: argument {flag}: must be non-negative, got {value}" in captured.err
+
+
+def test_main_denominator_vanishing_mod_p_exit_one(tmp_path, capsys):
+    f = tmp_path / "mod7.session"
+    f.write_text("ring R { vars x, y; }\nideal I = (x + 1/7*y);\nhilbert I;\n")
+    assert main(["--field", "fp:7", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("gradedchi: error: line 2, col 16: division by zero")
+
+
 def test_prime_field_flag(tmp_path, capsys):
     f = tmp_path / "mod.session"
     f.write_text("ring R { vars x, y; }\nideal I = (x^2, x*y, y^2);\nhilbert I;\n")
@@ -223,6 +246,31 @@ def test_run_paper_suite(capsys):
     assert "chi = 1 / (1 + 2*t - t^2)" in out
     assert "169*t^6" in out
     assert "value = infinity" in out
+
+
+def test_run_paper_suite_leaves_no_module_state(capsys):
+    import importlib
+    import pkgutil
+
+    import gradedchi
+
+    modules = [gradedchi] + [
+        importlib.import_module(f"gradedchi.{m.name}")
+        for m in pkgutil.iter_modules(gradedchi.__path__)
+    ]
+
+    def sizes():
+        return {
+            (mod.__name__, name): len(value)
+            for mod in modules
+            for name, value in vars(mod).items()
+            if type(value) in (dict, list, set)
+        }
+
+    before = sizes()
+    assert main(["--run-paper-suite"]) == 0
+    capsys.readouterr()
+    assert sizes() == before
 
 
 def test_run_paper_suite_json(capsys):

@@ -21,6 +21,7 @@ from gradedchi.homology import (
     truncated_resolution,
 )
 from gradedchi.rings import GradedRing, PolyRing, field_from_name
+from gradedchi.session import parse_session
 
 from oracles import (
     dense_rank,
@@ -32,6 +33,12 @@ from oracles import (
     random_homogeneous_poly,
     random_monomial,
 )
+
+
+CUBIC_SESSION = """\
+ring R { vars x, y, z; relations x^3 + y^3 + z^3; }
+ideal I = (x + y, z);
+"""
 
 
 def cubic_cone():
@@ -55,6 +62,15 @@ def test_koszul_resolution_of_a_variable():
     assert res.degrees[0] == (0,)
     assert res.degrees[1] == (1,)
     assert all(res.degrees[i] == () for i in range(2, 5))
+
+
+def test_resolutions_are_memoised_per_session():
+    a, b = parse_session(CUBIC_SESSION), parse_session(CUBIC_SESSION)
+    res = truncated_resolution(a.ring, a.ideals["I"], i_max=4, d_max=8)
+    assert truncated_resolution(a.ring, a.ideals["I"], i_max=4, d_max=8) is res
+    other = truncated_resolution(b.ring, b.ideals["I"], i_max=4, d_max=8)
+    assert other is not res
+    assert (other.degrees, other.images) == (res.degrees, res.images)
 
 
 def test_resolution_of_zero_ideal_is_rank_one():

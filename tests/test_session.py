@@ -166,6 +166,18 @@ def test_prime_field_sessions():
     assert g == s.ambient.gen(1)  # 5*x vanishes mod 5
 
 
+def test_denominator_vanishing_mod_p_is_a_session_error():
+    text = "ring R { vars x, y; }\nideal I = (x + 1/7*y);\n"
+    with pytest.raises(SessionError, match="division by zero in a coefficient") as ei:
+        parse_session(text, field_from_name("fp:7"))
+    assert (ei.value.line, ei.value.col) == (2, 16)
+    assert parse_session(text).ideals["I"]  # fine over QQ
+    r = PolyRing(("x", "y"), field=field_from_name("fp:7"))
+    with pytest.raises(SessionError, match="coefficient over GF\\(7\\)"):
+        parse_polynomial("x + 3/14*y", r)
+    assert parse_polynomial("7/14*x", r) == parse_polynomial("4*x", r)  # 1/2 = 4 mod 7
+
+
 def test_polynomial_round_trip_randomized():
     rng = random.Random(3131)
     r = PolyRing(("x", "y", "z"), (1, 2, 1))
@@ -210,3 +222,89 @@ def test_ratfun_round_trip_randomized():
             continue
         r = ratfun_normalize(num, den)
         assert parse_rational_function(str(r)) == r
+
+
+# A searched fuzz of the parser: text built from the grammar's own tokens,
+# mostly as well-formed fragments so the search reaches every production.
+
+import itertools
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+_FIELDS = ("qq", "fp:2", "fp:3", "fp:32003")
+_VARS = ("x", "y", "z")
+_WORDS = ("ring", "vars", "relations", "ideal", "hilbert", "chi", "tor", "check", "gulliksen")
+_WORDS += ("cartier", "R", "I", "J") + _VARS
+_digit = st.sampled_from("0123456789")
+_FRACTIONS = [f"{a}/{b}" for a in range(10) for b in range(10)]
+_coefficient = st.one_of(_digit, st.sampled_from(_FRACTIONS))
+_token = st.one_of(
+    st.sampled_from(_WORDS),
+    _coefficient,
+    st.sampled_from(tuple("{}(),;:=+-*^/")),
+    st.sampled_from(("--imax", "--dmax", "--deep")),
+)
+_noise = st.lists(_token, min_size=1, max_size=6).map(" ".join)
+_var = st.sampled_from(_VARS)
+# powers only of variables, small constants and two-term sums, so no example
+# builds a large power
+_SIMPLE = _VARS + ("2", "1/3")
+_POWERS = [f"{a}^{e}" for a in _SIMPLE for e in range(10)]
+_POWERS += [
+    f"({a} {op} {b})^{e}" for a in _SIMPLE for op in "+-" for b in _SIMPLE for e in range(10)
+]
+_factor = st.one_of(_var, _coefficient, st.sampled_from(_POWERS), _var.map("-".__add__))
+_term = st.lists(_factor, min_size=1, max_size=2).map(" * ".join)
+# a monomial is homogeneous for every weighting, a linear form whenever the
+# variables share a weight
+_poly = st.one_of(
+    st.tuples(_coefficient, _var, _var).map("*".join),
+    st.lists(st.tuples(_coefficient, _var).map("*".join), min_size=1, max_size=2).map(" + ".join),
+    st.lists(_term, min_size=1, max_size=2).map(" - ".join),
+)
+_polys = st.lists(_poly, min_size=1, max_size=2).map(", ".join)
+_weighted = [f"{a}, {b}:{w}, {c}" for a, b, c in itertools.permutations(_VARS) for w in (1, 1, 2)]
+_weighted.append("x:0, y, z")
+_ring = st.builds(
+    lambda names, rels: f"ring R {{ vars {names};{rels} }}",
+    st.sampled_from(_weighted),
+    st.one_of(st.just(""), _polys.map(" relations {};".format)),
+)
+_name = st.sampled_from(("I", "J"))
+_flag = st.tuples(st.sampled_from(("--imax", "--dmax")), _digit).map(" ".join)
+_command = st.one_of(
+    st.tuples(st.sampled_from(("chi", "gulliksen", "tor", "check")), _name, _name).map(" ".join),
+    st.tuples(st.sampled_from(("tor", "check")), _name, _name, _flag).map(" ".join),
+    _name.map("hilbert ".__add__),
+    st.tuples(_poly, _digit, _name).map(lambda t: "cartier " + " ".join(t)),
+)
+
+
+def _join(ring, i_gens, j_gens, commands, noise, at, sep):
+    parts = [ring, f"ideal I = ({i_gens});", f"ideal J = ({j_gens});"]
+    parts += [c + ";" for c in commands]
+    if noise:
+        parts.insert(at % (len(parts) + 1), noise)
+    return sep.join(parts)
+
+
+_session = st.builds(
+    _join,
+    _ring,
+    _polys,
+    _polys,
+    st.lists(_command, max_size=2),
+    st.one_of(st.just(""), _noise),
+    st.integers(0, 6),
+    st.sampled_from((" ", "\n")),
+)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_session, st.sampled_from(_FIELDS))
+def test_parser_raises_only_session_errors_searched(text, field):
+    try:
+        parse_session(text, field_from_name(field))
+    except SessionError:
+        pass
