@@ -43,9 +43,6 @@ class GroebnerBasis:
     def leading_monomials(self):
         return tuple(g.leading_monomial() for g in self.generators)
 
-    def is_unit_ideal(self) -> bool:
-        return any(mono_is_one(g.leading_monomial()) for g in self.generators)
-
     def __len__(self):
         return len(self.generators)
 

@@ -12,6 +12,14 @@ resolves (La Scala and Stillman, JSC 1998). Tensoring the truncated
 resolution with R/J and taking ranks gives the graded Tor table, which
 cross-checks the closed-form chi.
 
+The inner loop runs on coordinate data, not polynomials. A GradedBasis
+keeps one normal-form table, monomial -> (monomial, coefficient) pairs.
+While a resolution is built, each generator's image is a tuple of
+(component, monomial, coefficient) terms read off its residual vector, and
+the products u * image are summed from normal-form terms straight into
+coordinate dicts. Images become {component: Poly} once, when the
+resolution is complete.
+
 Everything here is exact: entries of the Tor table are true dimensions for
 all internal degrees <= d_max, because a generator of internal degree above
 d_max cannot affect a graded piece of degree <= d_max. Only the alternating
@@ -22,6 +30,7 @@ to the certified completeness bound and never beyond.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import AlgebraError, HomogeneityError
 from .groebner import GroebnerBasis, reduce_against, standard_monomials
@@ -33,8 +42,10 @@ class GradedBasis:
     """Deterministic standard-monomial bases of the graded pieces of a quotient.
 
     Wraps a Groebner basis with its own dicts of piece bases, monomial
-    positions and monomial normal forms, so repeated multiplications during
-    resolution building reduce each distinct monomial only once. The ring
+    positions and one normal-form table, so repeated multiplications during
+    resolution building reduce each distinct monomial only once. The table
+    maps a monomial to its normal form as a tuple of (monomial, coefficient)
+    pairs, with an integral QQ coefficient stored as a plain int. The ring
     memoises one instance per ideal (see _graded_basis).
     """
 
@@ -61,30 +72,34 @@ class GradedBasis:
         return len(self.basis(j))
 
     def index(self, j: int) -> dict:
+        """Position of each basis monomial of degree j ({} below degree 0)."""
+        if j < 0:
+            return {}
         self.basis(j)
         return self._index[j]
 
-    def nf_monomial(self, m) -> Poly:
-        p = self._nf.get(m)
-        if p is None:
-            p = reduce_against(
-                Poly(self.ring, {m: self.ring.field.one}), self.gb.generators
-            )
-            self._nf[m] = p
-        return p
+    def nf_monomial(self, m) -> tuple:
+        """Normal form of the monomial m, as (monomial, coefficient) pairs."""
+        t = self._nf.get(m)
+        if t is None:
+            p = reduce_against(Poly(self.ring, {m: self.ring.field.one}), self.gb.generators)
+            t = tuple((m2, _int_if_integral(c)) for m2, c in p.terms.items())
+            self._nf[m] = t
+        return t
 
     def multiply_nf(self, u, p: Poly) -> Poly:
         """Normal form of (monomial u) * p; p need not be reduced."""
         f = self.ring.field
         acc: dict = {}
         for v, c in p.terms.items():
-            for m2, c2 in self.nf_monomial(mono_mul(u, v)).terms.items():
-                s = f.add(acc.get(m2, f.zero), f.mul(c, c2))
-                if s:
-                    acc[m2] = s
-                else:
-                    acc.pop(m2, None)
-        return Poly(self.ring, acc)
+            for m2, c2 in self.nf_monomial(mono_mul(u, v)):
+                acc[m2] = acc.get(m2, 0) + c * c2
+        return Poly(self.ring, {m: f.coerce(c) for m, c in acc.items()})
+
+
+def _int_if_integral(c):
+    """A QQ coefficient with denominator 1 as a plain int; others unchanged."""
+    return c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
 
 
 def _graded_basis(ring: GradedRing, gens=()) -> GradedBasis:
@@ -125,43 +140,41 @@ class TruncatedResolution:
     images: tuple
 
 
-def _module_offsets(rb: GradedBasis, degs, j: int):
-    offs = []
-    total = 0
-    for d in degs:
-        offs.append(total)
-        total += rb.dim(j - d)
-    return offs, total
-
-
-def _element_vector(rb: GradedBasis, elem: dict, degs, offs, j: int) -> dict:
-    """Coordinates of an element of a free module piece, given componentwise
-    polynomials in normal form."""
-    out: dict = {}
-    for h, p in elem.items():
-        if p.is_zero:
-            continue
-        idx = rb.index(j - degs[h])
-        off = offs[h]
-        for m, c in p.terms.items():
-            out[off + idx[m]] = c
-    return out
-
-
-def _scale_element(rb: GradedBasis, u, elem: dict) -> dict:
-    return {h: rb.multiply_nf(u, p) for h, p in elem.items() if not p.is_zero}
-
-
 def _image_columns(rb: GradedBasis, src_degs, elems, tgt_degs, j: int) -> list:
     """Coordinate vectors, in the degree-j piece of the free module with
     generator degrees tgt_degs, of u * elems[g] for each g in order and each
-    basis monomial u of degree j - src_degs[g]."""
-    offs, _ = _module_offsets(rb, tgt_degs, j)
-    return [
-        _element_vector(rb, _scale_element(rb, u, elem), tgt_degs, offs, j)
-        for elem, d in zip(elems, src_degs)
-        for u in rb.basis(j - d)
-    ]
+    basis monomial u of degree j - src_degs[g]. An element is a sequence of
+    (component, monomial, coefficient) terms; products of coefficients are
+    summed as plain numbers, and over GF(p) reduced once per entry."""
+    where, off = [], 0
+    for d in tgt_degs:
+        idx = rb.index(j - d)
+        where.append((off, idx))
+        off += len(idx)
+    p = rb.ring.field.p
+    cols = []
+    for elem, d in zip(elems, src_degs):
+        for u in rb.basis(j - d):
+            col: dict = {}
+            for h, v, c in elem:
+                off, idx = where[h]
+                for m2, c2 in rb.nf_monomial(mono_mul(u, v)):
+                    k = off + idx[m2]
+                    col[k] = col.get(k, 0) + c * c2
+            if p:
+                cols.append({k: x % p for k, x in col.items() if x % p})
+            else:
+                cols.append({k: x for k, x in col.items() if x})
+    return cols
+
+
+def _component_polys(ring: GradedRing, terms) -> dict:
+    """{component: Poly} from (component, monomial, coefficient) terms."""
+    f = ring.field
+    comps: dict = {}
+    for h, m, c in terms:
+        comps.setdefault(h, {})[m] = f.coerce(c)
+    return {h: Poly(ring.ambient, t) for h, t in comps.items()}
 
 
 def truncated_resolution(ring: GradedRing, gens, i_max: int = 8, d_max: int = 16):
@@ -181,24 +194,23 @@ def _resolve(ring: GradedRing, gens, i_max: int, d_max: int) -> TruncatedResolut
     minw = min(ring.weights)
 
     one = (0,) * ring.nvars
-    candidates = []
-    for g in gens:
-        q = rb.multiply_nf(one, g)
-        if not q.is_zero:
-            candidates.append(q)
+    candidates = [q for q in (rb.multiply_nf(one, g) for g in gens) if q]
     candidates.sort(key=lambda p: (p.homogeneous_degree(), p.canonical_key()))
 
     # cols: the degree-j products of F_i's earlier generators, then the
     # residual r of each generator accepted at degree j (its own u = 1
-    # column, since r decodes to a normal form); together the degree-j
+    # column, since r reads off as a normal form); together the degree-j
     # matrix of d_i. Generators arrive in ascending degree, so offsets over
-    # the partial degree lists are final for every degree <= j.
+    # the partial degree lists are final for every degree <= j. images[i]
+    # keeps each generator's image as (component, monomial, coefficient)
+    # terms until the loop ends.
     degrees = [[0]] + [[] for _ in range(i_max)]
     images = [[] for _ in range(i_max + 1)]
     start = candidates[0].homogeneous_degree() if candidates else d_max + 1
     for j in range(start, d_max + 1):
+        idx = rb.index(j)
         piece = [
-            _element_vector(rb, {0: p}, (0,), (0,), j)
+            {idx[m]: c for m, c in p.terms.items()}
             for p in candidates
             if p.homogeneous_degree() == j
         ]
@@ -208,7 +220,8 @@ def _resolve(ring: GradedRing, gens, i_max: int, d_max: int) -> TruncatedResolut
             if piece or (degrees[i] and i < i_max):
                 cols = _image_columns(rb, degrees[i], images[i], prev_degs, j)
             if piece:
-                offs_prev, _ = _module_offsets(rb, prev_degs, j)
+                # position -> (component, monomial) in the degree-j piece of F_{i-1}
+                slots = [(h, m) for h, d in enumerate(prev_degs) for m in rb.basis(j - d)]
                 span = EchelonSpan(field)
                 for col in cols:
                     span.add(col)
@@ -216,7 +229,7 @@ def _resolve(ring: GradedRing, gens, i_max: int, d_max: int) -> TruncatedResolut
                     r = span.add(vec)
                     if r:
                         degrees[i].append(j)
-                        images[i].append(_decode_module_vector(ring, rb, r, prev_degs, offs_prev, j))
+                        images[i].append(tuple((*slots[k], c) for k, c in sorted(r.items())))
                         cols.append(r)
             # never leave the i-loop early: over an Artinian ring F_i can have
             # degree-j products, which step i + 1 needs, when F_{i-1} has none
@@ -225,22 +238,13 @@ def _resolve(ring: GradedRing, gens, i_max: int, d_max: int) -> TruncatedResolut
                 piece = kernel_of_columns(cols, len(cols), field)
 
     return TruncatedResolution(
-        ring, gens, i_max, d_max, tuple(map(tuple, degrees)), tuple(map(tuple, images))
+        ring,
+        gens,
+        i_max,
+        d_max,
+        tuple(map(tuple, degrees)),
+        tuple(tuple(_component_polys(ring, img) for img in step) for step in images),
     )
-
-
-def _decode_module_vector(
-    ring: GradedRing, rb: GradedBasis, vec: dict, degs, offs, j: int
-) -> dict:
-    f = ring.field
-    comps: dict = {}
-    for pos, c in sorted(vec.items()):
-        h = len(offs) - 1
-        while offs[h] > pos:
-            h -= 1
-        m = rb.basis(j - degs[h])[pos - offs[h]]
-        comps.setdefault(h, {})[m] = f.coerce(c)
-    return {h: Poly(ring.ambient, terms) for h, terms in comps.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +273,6 @@ class TorTable:
     def row_total(self, i: int) -> int:
         return sum(v for (ii, _), v in self.entries.items() if ii == i)
 
-    def row_degrees(self, i: int):
-        return sorted(j for (ii, j), v in self.entries.items() if ii == i and v)
-
     def row_complete(self, i: int) -> bool:
         """Trailing-window heuristic: the top two computed degrees are zero."""
         if self.d_max < 1:
@@ -293,8 +294,12 @@ def tor_table(ring: GradedRing, I, J, i_max: int = 8, d_max: int = 16) -> TorTab
         if not degs_i:
             continue
         degs_prev = res.degrees[i - 1]
+        elems = [
+            tuple((h, m, _int_if_integral(c)) for h, q in img.items() for m, c in q.terms.items())
+            for img in res.images[i]
+        ]
         for j in range(min(degs_i), d_max + 1):
-            r = rank_of_vectors(_image_columns(nb, degs_i, res.images[i], degs_prev, j), field)
+            r = rank_of_vectors(_image_columns(nb, degs_i, elems, degs_prev, j), field)
             if r:
                 ranks[(i, j)] = r
 

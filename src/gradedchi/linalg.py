@@ -17,27 +17,17 @@ output, entry for entry.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 
 def _primitive_int_row(row: dict) -> dict:
-    """Scale a QQ row to coprime integers with a positive leading entry."""
-    if not row:
-        return {}
-    den = 1
-    for v in row.values():
-        if isinstance(v, Fraction):
-            den = lcm(den, v.denominator)
-    num = 0
-    ints = {}
-    for c, v in row.items():
-        n = int(v * den) if isinstance(v, Fraction) else v * den
-        if n:
-            ints[c] = n
-            num = gcd(num, n)
+    """Scale a QQ row (int or Fraction entries) to coprime integers with a
+    positive leading entry."""
+    den = lcm(*[v.denominator for v in row.values()])
+    ints = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
     if not ints:
         return {}
+    num = gcd(*ints.values())
     if ints[min(ints)] < 0:
         num = -num
     if num != 1:
@@ -68,6 +58,8 @@ class EchelonSpan:
         """Residual of vec modulo the current row space, canonically scaled."""
         p = self.field.p
         if p == 0:
+            # normalise once; each step then only divides out the integer
+            # content, and the sign of the lead is fixed at the end
             v = _primitive_int_row(vec)
             while v:
                 lead = min(v)
@@ -85,7 +77,15 @@ class EchelonSpan:
                         v[c] = nv
                     else:
                         v.pop(c, None)
-                v = _primitive_int_row(v)
+                g = 0
+                for val in v.values():
+                    g = gcd(g, val)
+                    if g == 1:
+                        break
+                if g > 1:
+                    v = {c: val // g for c, val in v.items()}
+            if v and v[lead] < 0:
+                v = {c: -val for c, val in v.items()}
             return v
         v = {c: val % p for c, val in vec.items() if val % p}
         while v:

@@ -9,6 +9,7 @@ values are immutable by convention and all operations are pure.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .errors import AlgebraError, HomogeneityError
 
@@ -17,7 +18,7 @@ from .errors import AlgebraError, HomogeneityError
 
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a, b):
@@ -34,16 +35,8 @@ def mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def mono_gcd(a, b):
-    return tuple(min(x, y) for x, y in zip(a, b))
-
-
 def mono_is_one(m):
     return not any(m)
-
-
-def mono_coprime(a, b):
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
 def wdeg(m, ring) -> int:
@@ -443,12 +436,6 @@ class Poly:
     def is_homogeneous(self) -> bool:
         return self.homogeneous_degree() is not None
 
-    def max_wdeg(self) -> int:
-        """Largest weighted degree among the terms (-1 for zero)."""
-        if not self.terms:
-            return -1
-        return max(self.ring.wdeg(m) for m in self.terms)
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -551,9 +538,6 @@ class GradedRing:
         return self.cached(
             ("groebner", ideal_key(gens)), lambda: buchberger(self.relations + gens, self.ambient)
         )
-
-    def relations_gb(self):
-        return self.groebner(())
 
     def canonical_key(self):
         return (self.ambient, tuple(sorted(r.canonical_key() for r in self.relations)))

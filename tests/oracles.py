@@ -2,10 +2,14 @@
 
 Everything here is deliberately naive and shares no code with the library
 implementation: dense Fraction matrices, spanning sets instead of Groebner
-bases, direct enumeration of monomials. Slow but obviously correct.
+bases, direct enumeration of monomials. Slow but obviously correct. The one
+sparse reducer at the end is a frozen copy of an older library reducer that
+rescales after every elimination step, kept as the reference for the
+faster one.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def monomials_of_degree(weights, j):
@@ -66,6 +70,13 @@ def dense_rank(rows, p=0):
 def poly_to_dict(p):
     """Library polynomial to a plain {exponent tuple: Fraction} dict."""
     return {m: Fraction(c) for m, c in p.terms.items()}
+
+
+def max_wdeg(p):
+    """Largest weighted degree among the terms of a library polynomial (-1
+    for zero)."""
+    w = p.ring.weights
+    return max((sum(e * x for e, x in zip(m, w)) for m in p.terms), default=-1)
 
 
 def _gen_degree(g, weights):
@@ -156,3 +167,86 @@ def random_homogeneous_poly(rng, ring, deg, max_terms=3):
         c = rng.choice([-3, -2, -1, 1, 2, 3])
         p = p + ring.constant(c) * ring.monomial(m)
     return None if p.is_zero else p
+
+
+# ---------------------------------------------------------------------------
+# sparse QQ elimination that rescales after every step
+
+
+def _primitive_int_row(row):
+    """Scale a QQ row to coprime integers with a positive leading entry."""
+    if not row:
+        return {}
+    den = 1
+    for v in row.values():
+        if isinstance(v, Fraction):
+            den = lcm(den, v.denominator)
+    num = 0
+    ints = {}
+    for c, v in row.items():
+        n = int(v * den) if isinstance(v, Fraction) else v * den
+        if n:
+            ints[c] = n
+            num = gcd(num, n)
+    if not ints:
+        return {}
+    if ints[min(ints)] < 0:
+        num = -num
+    if num != 1:
+        ints = {c: v // num for c, v in ints.items()}
+    return ints
+
+
+class StepwiseQQSpan:
+    """A QQ echelon span whose residual is made primitive, with a positive
+    lead, after every elimination step: the reference for the library's
+    EchelonSpan, which normalises the input once and then only divides out
+    integer content."""
+
+    def __init__(self):
+        self.rows = {}
+
+    def reduce(self, vec):
+        v = _primitive_int_row(vec)
+        while v:
+            lead = min(v)
+            row = self.rows.get(lead)
+            if row is None:
+                break
+            a, b = v[lead], row[lead]
+            g = gcd(a, b)
+            sv, sr = b // g, a // g
+            if sv != 1:
+                v = {c: val * sv for c, val in v.items()}
+            for c, val in row.items():
+                nv = v.get(c, 0) - sr * val
+                if nv:
+                    v[c] = nv
+                else:
+                    v.pop(c, None)
+            v = _primitive_int_row(v)
+        return v
+
+    def add(self, vec):
+        r = self.reduce(vec)
+        if r:
+            self.rows[min(r)] = r
+        return r
+
+
+def stepwise_qq_kernel(cols, ncols):
+    """Kernel basis by tracked reduction over StepwiseQQSpan, in the same
+    canonical form as linalg.kernel_of_columns."""
+    tag = 1 + max((r for col in cols for r in col), default=-1)
+    span = StepwiseQQSpan()
+    out = []
+    for j in range(ncols):
+        vec = dict(cols[j]) if j < len(cols) else {}
+        vec[tag + j] = 1
+        r = span.reduce(vec)
+        lead = min(r)
+        if lead >= tag:
+            out.append({c - tag: v for c, v in r.items()})
+        else:
+            span.rows[lead] = r
+    return out

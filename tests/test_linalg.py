@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from gradedchi.linalg import kernel_of_columns, rank_of_vectors
+from gradedchi.linalg import EchelonSpan, kernel_of_columns, rank_of_vectors
 from gradedchi.rings import QQ, field_from_name
 
-from oracles import dense_rank
+from oracles import StepwiseQQSpan, dense_rank, stepwise_qq_kernel
 
 P = 32003
 GF = field_from_name(f"fp:{P}")
@@ -134,3 +134,61 @@ def test_pinned_kernel_gf():
         {3: 1},
         {0: 1, 2: 1, 4: 32002},
     ]
+
+
+# ---------------------------------------------------------------------------
+# QQ elimination against the reducer that rescales after every step
+
+
+def random_qq_rows(rng, nrows, width):
+    """Sparse QQ rows over few columns, so leads collide and most rows need
+    elimination steps: int and Fraction entries, either sign of lead, a
+    common factor per row, and some rows that are combinations of earlier
+    ones."""
+    rows = []
+    for _ in range(nrows):
+        if len(rows) > 1 and rng.random() < 0.25:
+            a, b = rng.sample(rows, 2)
+            ca, cb = rng.choice([-2, 1, Fraction(1, 3)]), rng.choice([3, -1, Fraction(-5, 2)])
+            row = {c: ca * a.get(c, 0) + cb * b.get(c, 0) for c in set(a) | set(b)}
+        else:
+            factor = rng.choice([1, 1, 2, 6, -10, Fraction(1, 4), Fraction(-3, 2)])
+            row = {
+                c: factor * Fraction(rng.choice([-7, -4, -3, -1, 1, 2, 5, 9]), rng.choice([1, 1, 1, 2, 3]))
+                for c in rng.sample(range(width), rng.randint(2, min(4, width)))
+            }
+        row = {c: v.numerator if v.denominator == 1 and rng.random() < 0.5 else v for c, v in row.items()}
+        rows.append({c: v for c, v in row.items() if v})
+    return rows
+
+
+def int_entries(vec):
+    return all(type(v) is int for v in vec.values())
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_qq_reduce_matches_stepwise_oracle(seed):
+    rng = random.Random(500 + seed)
+    rows = random_qq_rows(rng, rng.randint(8, 14), rng.randint(3, 7))
+    span, ref = EchelonSpan(QQ), StepwiseQQSpan()
+    for k, row in enumerate(rows):
+        if k % 3 == 2:  # a probe that is not inserted
+            got, want = span.reduce(row), ref.reduce(row)
+        else:
+            got, want = span.add(row), ref.add(row)
+        assert got == want and int_entries(got), (k, row)
+    assert span.rows == ref.rows
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_qq_kernel_matches_stepwise_oracle(seed):
+    rng = random.Random(600 + seed)
+    if seed % 2:
+        ncols = rng.randint(1, 12)
+        cols = random_qq_rows(rng, ncols, rng.randint(2, 6))
+    else:
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 10)
+        cols = random_columns(rng, QQ, nrows, ncols)
+    got = kernel_of_columns(cols, ncols, QQ)
+    assert got == stepwise_qq_kernel(cols, ncols)
+    assert all(int_entries(vec) for vec in got)
