@@ -194,11 +194,7 @@ def _cmd_chi(session: Session, cmd, opts: RunOptions):
 
 
 def _tor_window(cmd, opts: RunOptions):
-    imax = cmd.flags.get("imax", opts.imax)
-    dmax = cmd.flags.get("dmax", opts.dmax)
-    if imax < 0 or dmax < 0:
-        raise AlgebraError("imax and dmax must be nonnegative")
-    return imax, dmax
+    return cmd.flags.get("imax", opts.imax), cmd.flags.get("dmax", opts.dmax)
 
 
 def _tor_table_lines(tt) -> list:

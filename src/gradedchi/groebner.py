@@ -103,7 +103,11 @@ def reduce_against(p: Poly, reducers) -> Poly:
     ring = p.ring
     field = ring.field
     key = ring.order.key
-    lead = [(r.leading_monomial(), r.leading_coeff(), r) for r in reducers if not r.is_zero]
+    lead = []
+    for r in reducers:
+        if not r.is_zero:
+            lm = r.leading_monomial()
+            lead.append((lm, r.terms[lm], r))
     work = dict(p.terms)
     remainder: dict = {}
     while work:

@@ -5,10 +5,10 @@ at a time across all homological steps: each graded piece of the kernel of
 the previous map is computed as the nullspace of an exact matrix over k on
 standard-monomial bases, and minimal generators are the kernel vectors that
 survive reduction against products of the generators already found
-(degreewise Nakayama). Each degree's matrix of products is built once: at
-step i it is the span for the minimal-generator test, and with the new
-generators' own columns appended it is the matrix whose kernel step i + 1
-resolves (La Scala and Stillman, JSC 1998). Tensoring the truncated
+(degreewise Nakayama). Each degree's matrix of products is built and
+eliminated once: one tagged reduction gives both the span for the
+minimal-generator test at step i and the kernel that step i + 1 resolves
+(La Scala and Stillman, JSC 1998). Tensoring the truncated
 resolution with R/J and taking ranks gives the graded Tor table, which
 cross-checks the closed-form chi.
 
@@ -181,6 +181,8 @@ def truncated_resolution(ring: GradedRing, gens, i_max: int = 8, d_max: int = 16
     """Minimal graded free resolution of R/<gens> over R, exact in all
     internal degrees <= d_max through homological degree i_max; memoised on
     the ring."""
+    if i_max < 0 or d_max < 0:
+        raise AlgebraError("imax and dmax must be nonnegative")
     gens = _validated_gens(ring, gens)
     return ring.cached(
         ("resolution", ideal_key(gens), i_max, d_max),
@@ -191,19 +193,18 @@ def truncated_resolution(ring: GradedRing, gens, i_max: int = 8, d_max: int = 16
 def _resolve(ring: GradedRing, gens, i_max: int, d_max: int) -> TruncatedResolution:
     rb = _graded_basis(ring)
     field = ring.field
-    minw = min(ring.weights)
 
     one = (0,) * ring.nvars
     candidates = [q for q in (rb.multiply_nf(one, g) for g in gens) if q]
     candidates.sort(key=lambda p: (p.homogeneous_degree(), p.canonical_key()))
 
-    # cols: the degree-j products of F_i's earlier generators, then the
-    # residual r of each generator accepted at degree j (its own u = 1
-    # column, since r reads off as a normal form); together the degree-j
-    # matrix of d_i. Generators arrive in ascending degree, so offsets over
-    # the partial degree lists are final for every degree <= j. images[i]
-    # keeps each generator's image as (component, monomial, coefficient)
-    # terms until the loop ends.
+    # cols: the degree-j products of F_i's earlier generators; below the top
+    # step, their kernel and the span for the minimal-generator test come
+    # from one elimination. A generator accepted at degree j is independent
+    # of cols, so its own column adds no kernel vector. Generators arrive in
+    # ascending degree, so offsets over the partial degree lists are final
+    # for every degree <= j. images[i] keeps each generator's image as
+    # (component, monomial, coefficient) terms until the loop ends.
     degrees = [[0]] + [[] for _ in range(i_max)]
     images = [[] for _ in range(i_max + 1)]
     start = candidates[0].homogeneous_degree() if candidates else d_max + 1
@@ -219,23 +220,22 @@ def _resolve(ring: GradedRing, gens, i_max: int, d_max: int) -> TruncatedResolut
             cols = []
             if piece or (degrees[i] and i < i_max):
                 cols = _image_columns(rb, degrees[i], images[i], prev_degs, j)
+            span = EchelonSpan(field)
+            # never leave the i-loop early: over an Artinian ring F_i can have
+            # degree-j products, which step i + 1 needs, when F_{i-1} has none
+            kernel = kernel_of_columns(cols, len(cols), span) if cols and i < i_max else []
             if piece:
+                if i == i_max:
+                    for col in cols:
+                        span.add(col)
                 # position -> (component, monomial) in the degree-j piece of F_{i-1}
                 slots = [(h, m) for h, d in enumerate(prev_degs) for m in rb.basis(j - d)]
-                span = EchelonSpan(field)
-                for col in cols:
-                    span.add(col)
                 for vec in piece:
                     r = span.add(vec)
                     if r:
                         degrees[i].append(j)
                         images[i].append(tuple((*slots[k], c) for k, c in sorted(r.items())))
-                        cols.append(r)
-            # never leave the i-loop early: over an Artinian ring F_i can have
-            # degree-j products, which step i + 1 needs, when F_{i-1} has none
-            piece = []
-            if cols and i < i_max and j >= degrees[i][0] + minw:
-                piece = kernel_of_columns(cols, len(cols), field)
+            piece = kernel
 
     return TruncatedResolution(
         ring,
@@ -283,6 +283,8 @@ class TorTable:
 def tor_table(ring: GradedRing, I, J, i_max: int = 8, d_max: int = 16) -> TorTable:
     """Graded Tor table of (R/I, R/J), by tensoring the truncated minimal
     resolution of R/I with R/J and taking ranks per graded piece."""
+    if i_max < 0 or d_max < 0:
+        raise AlgebraError("imax and dmax must be nonnegative")
     J = _validated_gens(ring, J)
     res = truncated_resolution(ring, I, i_max + 1, d_max)
     nb = _graded_basis(ring, J)

@@ -12,7 +12,8 @@ identity entry, and a column that reduces to zero yields the unique relation
 expressing it through the independent columns before it. That relation,
 scaled as above, does not depend on how the reduction got there, so every
 kernel basis computed here is canonical: identical inputs give identical
-output, entry for entry.
+output, entry for entry. The same pass leaves the echelon form of the
+columns, tags stripped, in the span it ran in.
 """
 
 from __future__ import annotations
@@ -49,10 +50,6 @@ class EchelonSpan:
     def __init__(self, field):
         self.field = field
         self.rows: dict = {}  # lead column -> normalized row
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
 
     def reduce(self, vec: dict) -> dict:
         """Residual of vec modulo the current row space, canonically scaled."""
@@ -118,21 +115,22 @@ def rank_of_vectors(vecs, field) -> int:
     for v in vecs:
         if v:
             span.add(v)
-    return span.dim
+    return len(span.rows)
 
 
-def kernel_of_columns(cols, ncols: int, field):
-    """Canonical basis of the nullspace {x : sum_j x_j * cols[j] = 0}.
+def kernel_of_columns(cols, ncols: int, span: EchelonSpan):
+    """Canonical basis of the nullspace {x : sum_j x_j * cols[j] = 0}, found
+    in span, which must be empty and is left holding the column space.
 
-    cols is a list of sparse column vectors. Each column j is tagged with a
-    unit entry at tag + j, past every row index, and reduced against the
-    earlier columns: if its row part vanishes it depends on them, and the
-    tagged residual is the unique relation e_j - sum x_p e_p over the earlier
-    independent columns p. One kernel vector per dependent column, in
-    ascending column order, indexed by column position.
+    Each column j is tagged with a unit entry at tag + j, past every row
+    index, and reduced against the earlier columns: if its row part vanishes,
+    the tagged residual is the unique relation e_j - sum x_p e_p over the
+    earlier independent columns p. One kernel vector per dependent column, in
+    ascending column order, indexed by column position. Both this and
+    span.add(col) per column pick the same leads with proportional row
+    parts, so the stored rows, stripped of tags and rescaled, are the same.
     """
     tag = 1 + max((r for col in cols for r in col), default=-1)
-    span = EchelonSpan(field)
     out = []
     for j in range(ncols):
         vec = dict(cols[j]) if j < len(cols) else {}
@@ -143,4 +141,7 @@ def kernel_of_columns(cols, ncols: int, field):
             out.append({c - tag: v for c, v in r.items()})
         else:
             span.rows[lead] = r
+    for lead, r in span.rows.items():
+        row = {c: v for c, v in r.items() if c < tag}
+        span.rows[lead] = row if span.field.p else _primitive_int_row(row)
     return out

@@ -188,6 +188,20 @@ def test_naive_series_window_guard():
         naive_series(tt, 3)
 
 
+@pytest.mark.parametrize(
+    "window",
+    [
+        pytest.param(lambda R, I, J: tor_table(R, I, J, -3, -3), id="tor-both"),
+        pytest.param(lambda R, I, J: tor_table(R, I, J, -1, 3), id="tor-imax"),
+        pytest.param(lambda R, I, J: truncated_resolution(R, I, -3, 3), id="resolution-imax"),
+    ],
+)
+def test_negative_window_is_rejected(window):
+    R, I, J = cubic_cone()
+    with pytest.raises(AlgebraError, match="imax and dmax must be nonnegative"):
+        window(R, I, J)
+
+
 def test_transverse_koszul_naive():
     ring = PolyRing(("x", "y"))
     R = GradedRing(ring, ())
