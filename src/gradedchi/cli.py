@@ -398,12 +398,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "calculator for graded quotient rings.",
     )
     p.add_argument("session", nargs="?", help="session file path, or '-' for standard input")
-    p.add_argument("--imax", type=int, default=8, help="default homological degree cutoff")
-    p.add_argument("--dmax", type=int, default=16, help="default internal degree cutoff")
+    defaults = RunOptions()
+    p.add_argument("--imax", type=int, default=defaults.imax, help="default homological degree cutoff")
+    p.add_argument("--dmax", type=int, default=defaults.dmax, help="default internal degree cutoff")
     p.add_argument(
         "--series-terms",
         type=int,
-        default=10,
+        default=defaults.series_terms,
         dest="series_terms",
         help="number of power-series coefficients to display",
     )

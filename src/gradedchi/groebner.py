@@ -65,12 +65,8 @@ def _scale_primitive(p: Poly) -> Poly:
     or to a monic polynomial (GF(p))."""
     if p.is_zero:
         return p
-    field = p.ring.field
-    if field.p != 0:
-        c = field.inv(p.leading_coeff())
-        if c == field.one:
-            return p
-        return Poly(p.ring, {m: field.mul(c, v) for m, v in p.terms.items()})
+    if p.ring.field.p != 0:
+        return _make_monic(p)
     den = 1
     for c in p.terms.values():
         den = lcm(den, Fraction(c).denominator)

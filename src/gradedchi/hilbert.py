@@ -21,9 +21,9 @@ from .arith import (
     ratfun_normalize,
     series_expand,
 )
-from .errors import AlgebraError, HomogeneityError
+from .errors import AlgebraError
 from .groebner import MonomialIdeal, leading_ideal, minimalize_monomials
-from .rings import GradedRing, mono_is_one, wdeg
+from .rings import GradedRing, homogeneous_gens, mono_is_one, wdeg
 
 
 def weights_denominator(weights) -> IntPoly:
@@ -123,23 +123,12 @@ def dim_and_mult(hs: HilbertSeries) -> DimMult:
     return DimMult(s - k, Fraction(q(1), wprod))
 
 
-def _homogeneous_gens(ring: GradedRing, gens):
-    out = []
-    for g in gens:
-        if g.is_zero:
-            continue
-        if not g.is_homogeneous():
-            raise HomogeneityError(f"generator {g} is not homogeneous")
-        out.append(g)
-    return tuple(out)
-
-
 def hilbert_series(ring: GradedRing, gens=()) -> HilbertSeries:
     """Hilbert series of R/I for I generated by gens over the graded ring R.
 
     The ring's defining relations are appended automatically, so gens only
     need to generate I modulo those.
     """
-    gens = _homogeneous_gens(ring, gens)
+    gens = homogeneous_gens(gens)
     gb = ring.groebner(gens)
     return HilbertSeries(hilbert_numerator(leading_ideal(gb), ring.weights), ring.weights)

@@ -17,8 +17,8 @@ keeps one normal-form table, monomial -> (monomial, coefficient) pairs.
 While a resolution is built, each generator's image is a tuple of
 (component, monomial, coefficient) terms read off its residual vector, and
 the products u * image are summed from normal-form terms straight into
-coordinate dicts. Images become {component: Poly} once, when the
-resolution is complete.
+coordinate dicts. The finished resolution keeps the images in that form,
+and the Tor ranks build their columns from them directly.
 
 Everything here is exact: entries of the Tor table are true dimensions for
 all internal degrees <= d_max, because a generator of internal degree above
@@ -32,10 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AlgebraError, HomogeneityError
+from .errors import AlgebraError
 from .groebner import GroebnerBasis, reduce_against, standard_monomials
 from .linalg import EchelonSpan, kernel_of_columns, rank_of_vectors
-from .rings import GradedRing, Poly, ideal_key, mono_mul
+from .rings import GradedRing, Poly, homogeneous_gens, ideal_key, mono_mul
 
 
 class GradedBasis:
@@ -107,18 +107,12 @@ def _graded_basis(ring: GradedRing, gens=()) -> GradedBasis:
     return ring.cached(("graded_basis", ideal_key(gens)), lambda: GradedBasis(ring.groebner(gens)))
 
 
-def _validated_gens(ring: GradedRing, gens):
-    out = []
+def _validated_gens(gens):
+    gens = homogeneous_gens(gens)
     for g in gens:
-        if g.is_zero:
-            continue
-        d = g.homogeneous_degree()
-        if d is None:
-            raise HomogeneityError(f"generator {g} is not homogeneous")
-        if d == 0:
+        if g.homogeneous_degree() == 0:
             raise AlgebraError(f"generator {g} is a unit; the quotient module is zero")
-        out.append(g)
-    return tuple(out)
+    return gens
 
 
 @dataclass(frozen=True)
@@ -127,9 +121,11 @@ class TruncatedResolution:
 
     degrees[i] lists the generator degrees of F_i (only generators of degree
     <= d_max are found; higher ones cannot influence graded pieces <= d_max).
-    images[i][k] is the image of the k-th generator of F_i in F_{i-1}, as a
-    map from previous-generator index to a homogeneous polynomial in normal
-    form. F_0 = R always, presenting the cyclic module R/I.
+    images[i][k] is the image of the k-th generator of F_i in F_{i-1}, in
+    normal form, as a tuple of (component, monomial, coefficient) terms
+    sorted by coordinate position: component indexes F_{i-1}'s generators,
+    and coefficients are ints (primitive over QQ, in [0, p) over GF(p)).
+    F_0 = R always, presenting the cyclic module R/I.
     """
 
     ring: GradedRing
@@ -168,22 +164,13 @@ def _image_columns(rb: GradedBasis, src_degs, elems, tgt_degs, j: int) -> list:
     return cols
 
 
-def _component_polys(ring: GradedRing, terms) -> dict:
-    """{component: Poly} from (component, monomial, coefficient) terms."""
-    f = ring.field
-    comps: dict = {}
-    for h, m, c in terms:
-        comps.setdefault(h, {})[m] = f.coerce(c)
-    return {h: Poly(ring.ambient, t) for h, t in comps.items()}
-
-
 def truncated_resolution(ring: GradedRing, gens, i_max: int = 8, d_max: int = 16):
     """Minimal graded free resolution of R/<gens> over R, exact in all
     internal degrees <= d_max through homological degree i_max; memoised on
     the ring."""
     if i_max < 0 or d_max < 0:
         raise AlgebraError("imax and dmax must be nonnegative")
-    gens = _validated_gens(ring, gens)
+    gens = _validated_gens(gens)
     return ring.cached(
         ("resolution", ideal_key(gens), i_max, d_max),
         lambda: _resolve(ring, gens, i_max, d_max),
@@ -204,7 +191,7 @@ def _resolve(ring: GradedRing, gens, i_max: int, d_max: int) -> TruncatedResolut
     # of cols, so its own column adds no kernel vector. Generators arrive in
     # ascending degree, so offsets over the partial degree lists are final
     # for every degree <= j. images[i] keeps each generator's image as
-    # (component, monomial, coefficient) terms until the loop ends.
+    # (component, monomial, coefficient) terms.
     degrees = [[0]] + [[] for _ in range(i_max)]
     images = [[] for _ in range(i_max + 1)]
     start = candidates[0].homogeneous_degree() if candidates else d_max + 1
@@ -238,12 +225,7 @@ def _resolve(ring: GradedRing, gens, i_max: int, d_max: int) -> TruncatedResolut
             piece = kernel
 
     return TruncatedResolution(
-        ring,
-        gens,
-        i_max,
-        d_max,
-        tuple(map(tuple, degrees)),
-        tuple(tuple(_component_polys(ring, img) for img in step) for step in images),
+        ring, gens, i_max, d_max, tuple(map(tuple, degrees)), tuple(map(tuple, images))
     )
 
 
@@ -285,7 +267,7 @@ def tor_table(ring: GradedRing, I, J, i_max: int = 8, d_max: int = 16) -> TorTab
     resolution of R/I with R/J and taking ranks per graded piece."""
     if i_max < 0 or d_max < 0:
         raise AlgebraError("imax and dmax must be nonnegative")
-    J = _validated_gens(ring, J)
+    J = _validated_gens(J)
     res = truncated_resolution(ring, I, i_max + 1, d_max)
     nb = _graded_basis(ring, J)
     field = ring.field
@@ -296,12 +278,8 @@ def tor_table(ring: GradedRing, I, J, i_max: int = 8, d_max: int = 16) -> TorTab
         if not degs_i:
             continue
         degs_prev = res.degrees[i - 1]
-        elems = [
-            tuple((h, m, _int_if_integral(c)) for h, q in img.items() for m, c in q.terms.items())
-            for img in res.images[i]
-        ]
         for j in range(min(degs_i), d_max + 1):
-            r = rank_of_vectors(_image_columns(nb, degs_i, elems, degs_prev, j), field)
+            r = rank_of_vectors(_image_columns(nb, degs_i, res.images[i], degs_prev, j), field)
             if r:
                 ranks[(i, j)] = r
 

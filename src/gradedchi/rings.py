@@ -472,6 +472,16 @@ def ideal_key(gens):
     return tuple(sorted(g.canonical_key() for g in gens))
 
 
+def homogeneous_gens(gens) -> tuple:
+    """The nonzero generators among gens; raises HomogeneityError on one
+    that is not homogeneous."""
+    out = tuple(g for g in gens if not g.is_zero)
+    for g in out:
+        if not g.is_homogeneous():
+            raise HomogeneityError(f"generator {g} is not homogeneous")
+    return out
+
+
 class GradedRing:
     """A graded quotient R = S/(relations), presented over an ambient PolyRing.
 

@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,7 @@ from gradedchi.homology import (
     tor_table,
     truncated_resolution,
 )
-from gradedchi.rings import GradedRing, PolyRing, field_from_name
+from gradedchi.rings import GradedRing, PolyRing, field_from_name, mono_mul
 from gradedchi.session import parse_session
 
 from oracles import (
@@ -114,14 +115,15 @@ def test_resolution_is_a_complex_and_minimal():
         for i in range(2, 5):
             for g, img in enumerate(res.images[i]):
                 # minimality: no invertible entries
-                for h, p in img.items():
-                    assert not p.is_zero
-                    assert max_wdeg(p) >= 1
+                for h, m, c in img:
+                    assert c != 0
+                    assert ring.wdeg(m) >= 1
                 # complex: d_{i-1} ( d_i (basis g) ) = 0 in R
                 composite = {}
-                for h, p in img.items():
-                    for hh, q in res.images[i - 1][h].items():
-                        composite[hh] = composite.get(hh, ring.zero()) + p * q
+                for h, m, c in img:
+                    for hh, m2, c2 in res.images[i - 1][h]:
+                        term = ring.monomial(mono_mul(m, m2), c * c2)
+                        composite[hh] = composite.get(hh, ring.zero()) + term
                 for hh, val in composite.items():
                     assert normal_form(val, gb).is_zero
 
@@ -394,9 +396,8 @@ def _rank_mod_relations(weights, rel_dicts, degs, elems, tgt_degs, j, p):
     for elem, d in zip(elems, degs):
         for u in monomials_of_degree(weights, j - d):
             row = [0] * width
-            for h, q in elem.items():
-                for m, c in poly_to_dict(q).items():
-                    row[index[h][tuple(a + b for a, b in zip(m, u))]] += c
+            for h, m, c in elem:
+                row[index[h][tuple(a + b for a, b in zip(m, u))]] += c
             img.append(row)
     rel = [
         [0] * off + r + [0] * (width - off - len(r))
@@ -477,6 +478,31 @@ def test_dense_cubic_cone_mixes_int_and_fraction_columns():
     _assert_exact(qq.ring, qq.ideals["I"], 8, 8)
 
 
+@pytest.mark.parametrize("field", ["qq", "fp:32003"])
+def test_images_are_int_coordinate_terms(field):
+    """Each image is a tuple of (component, monomial, coefficient) terms in
+    position order, with int coefficients: a primitive row with a positive
+    lead over QQ (though normal forms there have Fraction entries), values
+    in [0, p) over GF(p)."""
+    session = parse_session(DENSE_CUBIC_CONE, field_from_name(field))
+    res = truncated_resolution(session.ring, session.ideals["I"], 6, 10)
+    p = session.ring.field.p
+    assert res.images[0] == ()
+    for i in range(1, 7):
+        assert type(res.images[i]) is tuple and len(res.images[i]) == len(res.degrees[i])
+        for img in res.images[i]:
+            assert type(img) is tuple and img
+            for term in img:
+                assert type(term) is tuple and len(term) == 3
+                h, m, c = term
+                assert type(h) is int and 0 <= h < len(res.degrees[i - 1])
+                assert type(m) is tuple and len(m) == session.ring.nvars
+                assert type(c) is int and c != 0
+                assert 0 < c < p if p else True
+            if not p:
+                assert img[0][2] > 0 and gcd(*(c for _, _, c in img)) == 1
+
+
 def test_graded_basis_index_below_degree_zero_is_empty():
     R, I, J = cubic_cone()
     rb = homology._graded_basis(R, J)
@@ -507,11 +533,18 @@ def _resolution_cases():
 
 
 def _resolution_digest(res):
-    """sha256 over the generator degrees and every image, entry for entry."""
-    images = tuple(
-        tuple(tuple((h, p.canonical_key()) for h, p in sorted(img.items())) for img in step)
-        for step in res.images
-    )
+    """sha256 over the generator degrees and every image, entry for entry.
+    Each image is keyed as its components' sorted (monomial, field element)
+    pairs, component by component."""
+    coerce = res.ring.field.coerce
+
+    def key(img):
+        comps = {}
+        for h, m, c in img:
+            comps.setdefault(h, []).append((m, coerce(c)))
+        return tuple((h, tuple(sorted(t))) for h, t in sorted(comps.items()))
+
+    images = tuple(tuple(map(key, step)) for step in res.images)
     return hashlib.sha256(repr((res.degrees, images)).encode()).hexdigest()
 
 
