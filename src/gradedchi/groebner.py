@@ -6,6 +6,13 @@ so every downstream computation is deterministic. Pair selection follows the
 normal strategy (smallest weighted-degree lcm first) with Buchberger's
 coprime and chain criteria; over QQ intermediate polynomials are rescaled to
 primitive integer coefficients to keep arithmetic small.
+
+Reduction is heap-ordered division (Monagan & Pearce, CASC 2007): each
+monomial's order key is computed once, when it enters the working
+polynomial, and the heap yields the same leading monomial a full rescan
+would, so the reduction sequence is that of plain division. Each Poly keeps
+its leading monomial once found, so reducer leads are not recomputed per
+call.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import neg
 
 from .errors import AlgebraError
 from .rings import (
@@ -74,7 +82,7 @@ def _scale_primitive(p: Poly) -> Poly:
     for c in p.terms.values():
         num = gcd(num, (Fraction(c) * den).numerator)
     scale = Fraction(den, num)
-    if p.terms[p.leading_monomial()] < 0:
+    if p.leading_coeff() < 0:
         scale = -scale
     if scale == 1:
         return p
@@ -89,50 +97,66 @@ def _make_monic(p: Poly) -> Poly:
     return Poly(p.ring, {m: field.mul(c, v) for m, v in p.terms.items()})
 
 
+def _neg_key(key, m):
+    """The order key negated, so that a min-heap pops the largest monomial."""
+    d, tail = key(m)
+    return (-d, tuple(map(neg, tail)))
+
+
 def reduce_against(p: Poly, reducers) -> Poly:
     """Full normal form of p against an ordered list of reducers.
 
     Every term of the result is divisible by no reducer leading monomial;
     the first reducer (in list order) whose leading monomial divides is used
-    at each step, so the computation is deterministic.
+    at each step, so the computation is deterministic. The working
+    polynomial's monomials wait in a heap keyed by the negated order key,
+    computed once when a monomial first enters; a monomial that cancels
+    keeps its entry with a zero coefficient and is skipped when popped. The
+    heap pops the largest monomial at each step, so the reduction sequence
+    and the remainder's term order (descending) are those of rescanning for
+    the maximum.
     """
     ring = p.ring
     field = ring.field
     key = ring.order.key
-    lead = []
-    for r in reducers:
-        if not r.is_zero:
-            lm = r.leading_monomial()
-            lead.append((lm, r.terms[lm], r))
+    lead = [(r.leading_monomial(), r.leading_coeff(), r) for r in reducers if not r.is_zero]
     work = dict(p.terms)
+    heap = [(_neg_key(key, m), m) for m in work]
+    heapq.heapify(heap)
     remainder: dict = {}
-    while work:
-        lm = max(work, key=key)
-        hit = None
+    while heap:
+        lm = heapq.heappop(heap)[1]
+        c = work.pop(lm)
+        if not c:
+            continue
         for lmr, lcr, r in lead:
             if mono_divides(lmr, lm):
-                hit = (lmr, lcr, r)
                 break
-        if hit is None:
-            remainder[lm] = work.pop(lm)
+        else:
+            remainder[lm] = c
             continue
-        lmr, lcr, r = hit
         q = mono_div(lm, lmr)
-        c = field.div(work[lm], lcr)
+        c = field.div(c, lcr)
         for m2, c2 in r.terms.items():
+            if m2 == lmr:
+                continue
             mm = mono_mul(q, m2)
-            nv = field.sub(work.get(mm, field.zero), field.mul(c, c2))
-            if nv:
-                work[mm] = nv
-            else:
-                work.pop(mm, None)
+            old = work.get(mm)
+            if old is None:
+                old = field.zero
+                heapq.heappush(heap, (_neg_key(key, mm), mm))
+            work[mm] = field.sub(old, field.mul(c, c2))
     return Poly(ring, remainder)
 
 
 def normal_form(p: Poly, gb) -> Poly:
     """Normal form of p modulo a Groebner basis (k-linear and idempotent)."""
-    reducers = gb.generators if isinstance(gb, GroebnerBasis) else tuple(gb)
-    if reducers and p.ring != reducers[0].ring:
+    if isinstance(gb, GroebnerBasis):
+        ring, reducers = gb.ring, gb.generators
+    else:
+        reducers = tuple(gb)
+        ring = reducers[0].ring if reducers else p.ring
+    if p.ring != ring:
         raise ValueError("polynomial and basis belong to different rings")
     return reduce_against(p, reducers)
 

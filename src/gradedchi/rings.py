@@ -207,7 +207,7 @@ class MonomialOrder:
         self.weights = tuple(weights)
 
     def key(self, m):
-        """Sort key; bigger key = bigger monomial."""
+        """Sort key, a (weighted degree, int tuple) pair; bigger key = bigger monomial."""
         d = sum(e * w for e, w in zip(m, self.weights))
         if self.kind == "grevlex":
             return (d, tuple(-e for e in reversed(m)))
@@ -308,13 +308,18 @@ class PolyRing:
 
 
 class Poly:
-    """A sparse polynomial: a map from exponent tuples to nonzero coefficients."""
+    """A sparse polynomial: a map from exponent tuples to nonzero coefficients.
 
-    __slots__ = ("ring", "terms")
+    Immutable by convention: the leading monomial is found on first use and
+    kept, so nothing may write to terms after construction.
+    """
+
+    __slots__ = ("ring", "terms", "_lead")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = {m: c for m, c in terms.items() if c}
+        self._lead = None
 
     @property
     def is_zero(self) -> bool:
@@ -413,9 +418,12 @@ class Poly:
         return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=reverse)
 
     def leading_monomial(self):
-        if not self.terms:
-            raise AlgebraError("zero polynomial has no leading term")
-        return max(self.terms, key=self.ring.order.key)
+        lm = self._lead
+        if lm is None:
+            if not self.terms:
+                raise AlgebraError("zero polynomial has no leading term")
+            lm = self._lead = max(self.terms, key=self.ring.order.key)
+        return lm
 
     def leading_coeff(self):
         return self.terms[self.leading_monomial()]

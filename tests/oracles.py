@@ -2,10 +2,11 @@
 
 Everything here is deliberately naive and shares no code with the library
 implementation: dense Fraction matrices, spanning sets instead of Groebner
-bases, direct enumeration of monomials. Slow but obviously correct. The one
-sparse reducer at the end is a frozen copy of an older library reducer that
-rescales after every elimination step, kept as the reference for the
-faster one.
+bases, direct enumeration of monomials. Slow but obviously correct. The two
+sparse reducers at the end are frozen copies of older library reducers: one
+rescales after every elimination step, the other finds each polynomial's
+leading monomial by rescanning for the maximum. Each is kept as the
+reference for the faster one.
 """
 
 from fractions import Fraction
@@ -250,3 +251,54 @@ def stepwise_qq_kernel(cols, ncols):
         else:
             span.rows[lead] = r
     return out
+
+
+# ---------------------------------------------------------------------------
+# polynomial division that rescans for the leading monomial
+
+
+def scan_reduce_against(p, reducers):
+    """Normal form of p against an ordered reducer list, by the max-scan
+    division groebner.reduce_against replaced: every step rescans the whole
+    working polynomial for its largest monomial, and every reducer's lead is
+    found afresh.
+
+    Returns (terms, reentries): the remainder's (monomial, coefficient)
+    items in the order they were found, and how many times a monomial that
+    had cancelled out of the working polynomial entered it again.
+    """
+    field = p.ring.field
+    key = p.ring.order.key
+    lead = []
+    for r in reducers:
+        if r.terms:
+            lm = max(r.terms, key=key)
+            lead.append((lm, r.terms[lm], r))
+    work = dict(p.terms)
+    remainder = {}
+    cancelled = set()
+    reentries = 0
+    while work:
+        lm = max(work, key=key)
+        hit = None
+        for lmr, lcr, r in lead:
+            if all(a <= b for a, b in zip(lmr, lm)):
+                hit = (lmr, lcr, r)
+                break
+        if hit is None:
+            remainder[lm] = work.pop(lm)
+            continue
+        lmr, lcr, r = hit
+        q = tuple(a - b for a, b in zip(lm, lmr))
+        c = field.div(work[lm], lcr)
+        for m2, c2 in r.terms.items():
+            mm = tuple(a + b for a, b in zip(q, m2))
+            if mm not in work and mm in cancelled:
+                reentries += 1
+            nv = field.sub(work.get(mm, field.zero), field.mul(c, c2))
+            if nv:
+                work[mm] = nv
+            else:
+                work.pop(mm, None)
+                cancelled.add(mm)
+    return list(remainder.items()), reentries

@@ -16,13 +16,14 @@ from gradedchi.groebner import (
     s_polynomial,
     standard_monomials,
 )
-from gradedchi.rings import QQ, GradedRing, Poly, PolyRing, field_from_name
+from gradedchi.rings import QQ, GradedRing, Poly, PolyRing, PrimeField, field_from_name
 
 from oracles import (
     monomials_of_degree,
     poly_to_dict,
     quotient_piece_dim,
     random_homogeneous_poly,
+    scan_reduce_against,
 )
 
 
@@ -135,9 +136,12 @@ def test_normal_form_is_linear_and_detects_membership():
 
 def test_normal_form_ring_mismatch():
     r1, r2 = _ring3(), PolyRing(("a",))
-    gb = buchberger((r1.gen(0),))
-    with pytest.raises(ValueError, match="different rings"):
-        normal_form(r2.gen(0), gb)
+    gf7 = PolyRing(("x", "y"), field=PrimeField(7))
+    qq = PolyRing(("x", "y"))
+    # an empty basis still carries its ring
+    for p, gb in ((r2.gen(0), buchberger((r1.gen(0),))), (qq.gen(0), buchberger((), ring=gf7))):
+        with pytest.raises(ValueError, match="different rings"):
+            normal_form(p, gb)
 
 
 def test_s_polynomial_cancels_leading_terms():
@@ -217,3 +221,86 @@ def test_reduce_against_single_reducer():
     # x^2*y -> x*y + x -> x + y under the single rewrite x*y -> y
     nf = reduce_against(x * x * y + x, (x * y - y,))
     assert nf == x + y
+
+
+def _random_poly(rng, ring, maxdeg, nterms):
+    """A random polynomial, not necessarily homogeneous, with small coefficients."""
+    monos = [m for d in range(maxdeg + 1) for m in monomials_of_degree(ring.weights, d)]
+    chosen = rng.sample(monos, min(nterms, len(monos)))
+    return Poly(ring, {m: ring.field.coerce(rng.choice([-2, -1, 1, 2])) for m in chosen})
+
+
+def test_reduce_against_matches_max_scan_oracle():
+    # arbitrary reducer lists, not Groebner bases: the heap must pop the same
+    # leading monomial as a rescan at every step, so the remainder's terms
+    # and their order agree exactly
+    rng = random.Random(4071)
+    reentries = 0
+    for trial in range(300):
+        nv = rng.randrange(2, 4)
+        weights = tuple(rng.choice([1, 2, 3]) for _ in range(nv))
+        r = PolyRing(
+            tuple(f"x{i}" for i in range(nv)),
+            weights,
+            field=rng.choice([QQ, PrimeField(32003)]),
+            order=rng.choice(["grevlex", "deglex"]),
+        )
+        p = _random_poly(rng, r, 7, rng.randrange(1, 9))
+        reducers = [
+            _random_poly(rng, r, 4, rng.randrange(1, 4)) for _ in range(rng.randrange(1, 4))
+        ]
+        expected, n = scan_reduce_against(p, reducers)
+        reentries += n
+        nf = reduce_against(p, reducers)
+        assert list(nf.terms.items()) == expected
+    # the inputs include monomials that cancel out and later come back
+    assert reentries > 0
+
+
+def _to_sympy(g, syms, sympy):
+    expr = 0
+    for m, c in g.terms.items():
+        c = sympy.Rational(c.numerator, c.denominator) if isinstance(c, Fraction) else c
+        term = c
+        for s_, e in zip(syms, m):
+            term *= s_**e
+        expr += term
+    return expr
+
+
+def _monic_terms(items, field):
+    """The monic form of a polynomial given as (monomial, coefficient) items,
+    as a sorted term tuple, leading monomial taken from the first item."""
+    lead = field.inv(items[0][1])
+    return tuple(sorted((m, field.mul(lead, c)) for m, c in items))
+
+
+def test_buchberger_matches_sympy_groebner():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(4072)
+    for trial in range(60):
+        nv = rng.randrange(2, 5)
+        field = rng.choice([QQ, PrimeField(32003)])
+        order = rng.choice(["grevlex", "deglex"])
+        r = PolyRing(tuple(f"x{i}" for i in range(nv)), field=field, order=order)
+        gens = [
+            random_homogeneous_poly(rng, r, rng.randrange(1, 4)) for _ in range(rng.randrange(1, 4))
+        ]
+        gb = buchberger(gens, ring=r)
+        syms = sympy.symbols(r.names)
+        opts = {"order": {"grevlex": "grevlex", "deglex": "grlex"}[order]}
+        if field.p:
+            opts["modulus"] = field.p
+        theirs = sympy.groebner([_to_sympy(g, syms, sympy) for g in gens], *syms, **opts)
+        expected = set()
+        for g in theirs.polys:
+            # terms() sorts by the order it is given, descending; over QQ the
+            # coefficients are primitive integers, over GF(p) symmetric residues
+            items = [
+                (m, field.coerce(Fraction(int(c.p), int(c.q)) if field.p == 0 else int(c)))
+                for m, c in g.terms(order=opts["order"])
+            ]
+            expected.add(_monic_terms(items, field))
+        ours = {_monic_terms(g.sorted_terms(), field) for g in gb}
+        assert ours == expected
+        assert len(gb) == len(theirs.polys)

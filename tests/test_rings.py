@@ -114,8 +114,26 @@ def test_poly_leading_data():
     q = x * y + y * z
     # grevlex at equal degree: smaller reversed-exponent tail wins
     assert q.leading_monomial() == (1, 1, 0)
-    with pytest.raises(AlgebraError, match="zero polynomial has no leading term"):
-        r.zero().leading_monomial()
+    zero = r.zero()
+    for _ in range(2):  # a failed lookup caches nothing
+        with pytest.raises(AlgebraError, match="zero polynomial has no leading term"):
+            zero.leading_monomial()
+        with pytest.raises(AlgebraError, match="zero polynomial has no leading term"):
+            zero.leading_coeff()
+    # the lead is found once and kept: it must stay the rescanned maximum
+    rng = random.Random(110)
+    for trial in range(100):
+        weights = tuple(rng.choice([1, 2, 3]) for _ in range(3))
+        field = rng.choice([QQ, PrimeField(32003)])
+        order = rng.choice(["grevlex", "deglex"])
+        ring = PolyRing(("x", "y", "z"), weights, field=field, order=order)
+        monos = [m for d in range(1, 7) for m in monomials_of_degree(weights, d)]
+        chosen = rng.sample(monos, rng.randrange(1, 6))
+        p = Poly(ring, {m: field.coerce(rng.randrange(1, 50)) for m in chosen})
+        expected = max(p.terms, key=ring.order.key)
+        for _ in range(2):
+            assert p.leading_monomial() == expected
+            assert p.leading_coeff() == p.terms[expected]
 
 
 def test_homogeneity():
