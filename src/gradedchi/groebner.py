@@ -4,15 +4,22 @@ The output basis is the reduced Groebner basis (monic, self-reduced, sorted
 by leading monomial), which is unique for a given ideal and monomial order,
 so every downstream computation is deterministic. Pair selection follows the
 normal strategy (smallest weighted-degree lcm first) with Buchberger's
-coprime and chain criteria; over QQ intermediate polynomials are rescaled to
-primitive integer coefficients to keep arithmetic small.
+coprime and chain criteria.
 
 Reduction is heap-ordered division (Monagan & Pearce, CASC 2007): each
 monomial's order key is computed once, when it enters the working
 polynomial, and the heap yields the same leading monomial a full rescan
-would, so the reduction sequence is that of plain division. Each Poly keeps
-its leading monomial once found, so reducer leads are not recomputed per
-call.
+would, so the reduction sequence is that of plain division. Over QQ the
+division is fraction-free (integer pseudo-division, Geddes, Czapor &
+Labahn, *Algorithms for Computer Algebra*, 1992, §2.8): the input is scaled
+to integers, and each step multiplies the working polynomial and the
+remainder by lc_r / gcd(c, lc_r) instead of dividing by lc_r, so the loop
+makes no Fraction. The integer remainder and its scale come out together;
+`reduce_against` divides by the scale once per remainder term, and
+Buchberger keeps its working basis as primitive integer polynomials until
+the final basis is made monic. Each Poly keeps its reducer form (leading
+monomial, integer lead, tail; monic over GF(p)) once found, so reducers are
+not prepared again per call.
 """
 
 from __future__ import annotations
@@ -23,7 +30,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import neg
 
-from .errors import AlgebraError
 from .rings import (
     Poly,
     PolyRing,
@@ -68,39 +74,113 @@ class GroebnerBasis:
         return f"GroebnerBasis({', '.join(str(g) for g in self.generators)})"
 
 
-def _scale_primitive(p: Poly) -> Poly:
-    """Rescale to primitive integer coefficients with a positive leading one (QQ),
-    or to a monic polynomial (GF(p))."""
-    if p.is_zero:
-        return p
-    if p.ring.field.p != 0:
-        return _make_monic(p)
-    den = 1
-    for c in p.terms.values():
-        den = lcm(den, Fraction(c).denominator)
-    num = 0
-    for c in p.terms.values():
-        num = gcd(num, (Fraction(c) * den).numerator)
-    scale = Fraction(den, num)
-    if p.leading_coeff() < 0:
-        scale = -scale
-    if scale == 1:
-        return p
-    return Poly(p.ring, {m: c * scale for m, c in p.terms.items()})
-
-
-def _make_monic(p: Poly) -> Poly:
-    field = p.ring.field
-    c = field.inv(p.leading_coeff())
-    if c == field.one:
-        return p
-    return Poly(p.ring, {m: field.mul(c, v) for m, v in p.terms.items()})
-
-
 def _neg_key(key, m):
     """The order key negated, so that a min-heap pops the largest monomial."""
     d, tail = key(m)
     return (-d, tuple(map(neg, tail)))
+
+
+def _int_terms(terms: dict):
+    """QQ coefficients scaled by the lcm of their denominators: (int terms, scale)."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
+
+
+def _scaled_poly(ring: PolyRing, terms: dict, scale) -> Poly:
+    """The Poly terms / scale: one exact Fraction per term over QQ; over
+    GF(p) the terms are residues already and the scale is 1."""
+    if ring.field.p:
+        return Poly(ring, terms)
+    return Poly(ring, {m: Fraction(c, scale) for m, c in terms.items()})
+
+
+def _make_reducer(ring: PolyRing, lm, terms: dict):
+    """A reducer (lm, lead, tail) from a term map with leading monomial lm.
+
+    Over QQ the terms become primitive integers with a positive lead, and
+    lead is that integer. Over GF(p) the terms are made monic, so lead is 1
+    and division needs no inverse.
+    """
+    p = ring.field.p
+    if p:
+        inv = ring.field.inv(terms[lm])
+        return lm, 1, tuple((m, c * inv % p) for m, c in terms.items() if m != lm)
+    g = gcd(*terms.values())
+    if terms[lm] < 0:
+        g = -g
+    return lm, terms[lm] // g, tuple((m, c // g) for m, c in terms.items() if m != lm)
+
+
+def _reducer(r: Poly):
+    """The reducer form of a nonzero Poly, computed once and kept on it."""
+    red = r._red
+    if red is None:
+        lm = r.leading_monomial()
+        terms = r.terms if r.ring.field.p else _int_terms(r.terms)[0]
+        red = r._red = _make_reducer(r.ring, lm, terms)
+    return red
+
+
+def _divide(ring: PolyRing, work: dict, scale: int, reducers):
+    """The division core: reduce work / scale against reducer forms.
+
+    work maps monomials to integers (residues over GF(p)) and is consumed.
+    The first reducer (in list order) whose leading monomial divides the
+    working polynomial's leading monomial is used at each step. Over QQ a
+    step with coefficient c and reducer lead l multiplies the working
+    polynomial, the remainder and the scale by l / gcd(c, l) and subtracts
+    (c / gcd(c, l)) * q * tail; over GF(p) reducers are monic, the scale
+    stays 1 and a step subtracts c * q * tail with one reduction mod p per
+    term. The working polynomial's monomials wait in a heap keyed by the
+    negated order key, computed once when a monomial first enters; a
+    monomial that cancels keeps its entry with a zero coefficient and is
+    skipped when popped.
+
+    Returns (remainder, scale): the remainder's integer terms in descending
+    monomial order, and the integer its true value is scaled by.
+    """
+    p = ring.field.p
+    key = ring.order.key
+    heap = [(_neg_key(key, m), m) for m in work]
+    heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
+    remainder: dict = {}
+    while heap:
+        lm = heappop(heap)[1]
+        c = work.pop(lm)
+        if not c:
+            continue
+        for lmr, lcr, tail in reducers:
+            if mono_divides(lmr, lm):
+                break
+        else:
+            remainder[lm] = c
+            continue
+        q = mono_div(lm, lmr)
+        if p:
+            for m2, c2 in tail:
+                mm = mono_mul(q, m2)
+                old = work.get(mm)
+                if old is None:
+                    old = 0
+                    heappush(heap, (_neg_key(key, mm), mm))
+                work[mm] = (old - c * c2) % p
+            continue
+        g = gcd(c, lcr)
+        c //= g
+        if g != lcr:
+            a = lcr // g
+            scale *= a
+            work = {m: v * a for m, v in work.items()}
+            remainder = {m: v * a for m, v in remainder.items()}
+        for m2, c2 in tail:
+            mm = mono_mul(q, m2)
+            old = work.get(mm)
+            if old is None:
+                old = 0
+                heappush(heap, (_neg_key(key, mm), mm))
+            work[mm] = old - c * c2
+    return remainder, scale
 
 
 def reduce_against(p: Poly, reducers) -> Poly:
@@ -108,45 +188,23 @@ def reduce_against(p: Poly, reducers) -> Poly:
 
     Every term of the result is divisible by no reducer leading monomial;
     the first reducer (in list order) whose leading monomial divides is used
-    at each step, so the computation is deterministic. The working
-    polynomial's monomials wait in a heap keyed by the negated order key,
-    computed once when a monomial first enters; a monomial that cancels
-    keeps its entry with a zero coefficient and is skipped when popped. The
-    heap pops the largest monomial at each step, so the reduction sequence
-    and the remainder's term order (descending) are those of rescanning for
-    the maximum.
+    at each step, so the computation is deterministic. The heap in the
+    division core pops the largest monomial at each step, so the reduction
+    sequence and the remainder's term order (descending) are those of
+    rescanning for the maximum. Over QQ the division is fraction-free: it
+    runs on integers, and each remainder coefficient is divided once by the
+    scale at the end, so the value (and its Fraction type) is that of plain
+    division over the field. Reducers from another ring raise ValueError.
     """
     ring = p.ring
-    field = ring.field
-    key = ring.order.key
-    lead = [(r.leading_monomial(), r.leading_coeff(), r) for r in reducers if not r.is_zero]
-    work = dict(p.terms)
-    heap = [(_neg_key(key, m), m) for m in work]
-    heapq.heapify(heap)
-    remainder: dict = {}
-    while heap:
-        lm = heapq.heappop(heap)[1]
-        c = work.pop(lm)
-        if not c:
-            continue
-        for lmr, lcr, r in lead:
-            if mono_divides(lmr, lm):
-                break
-        else:
-            remainder[lm] = c
-            continue
-        q = mono_div(lm, lmr)
-        c = field.div(c, lcr)
-        for m2, c2 in r.terms.items():
-            if m2 == lmr:
-                continue
-            mm = mono_mul(q, m2)
-            old = work.get(mm)
-            if old is None:
-                old = field.zero
-                heapq.heappush(heap, (_neg_key(key, mm), mm))
-            work[mm] = field.sub(old, field.mul(c, c2))
-    return Poly(ring, remainder)
+    reds = []
+    for r in reducers:
+        if r.ring is not ring and r.ring != ring:
+            raise ValueError("polynomial and reducers belong to different rings")
+        if r.terms:
+            reds.append(_reducer(r))
+    work, scale = (dict(p.terms), 1) if ring.field.p else _int_terms(p.terms)
+    return _scaled_poly(ring, *_divide(ring, work, scale, reds))
 
 
 def normal_form(p: Poly, gb) -> Poly:
@@ -161,15 +219,38 @@ def normal_form(p: Poly, gb) -> Poly:
     return reduce_against(p, reducers)
 
 
+def _s_terms(ring: PolyRing, rf, rg, big):
+    """The S-polynomial of two reducer forms with leading-monomial lcm big,
+    built from the shifted tails: (terms, scale), the true value being
+    terms / scale. Over QQ, with h = gcd of the integer leads, the terms are
+    (lc_g/h) * u_f * f - (lc_f/h) * u_g * g; the cancelled leading terms are
+    never formed. Zero coefficients may remain."""
+    lmf, lcf, tailf = rf
+    lmg, lcg, tailg = rg
+    uf, ug = mono_div(big, lmf), mono_div(big, lmg)
+    p = ring.field.p
+    if p:  # monic forms: the difference is exact, scale 1
+        out = {mono_mul(uf, m): c for m, c in tailf}
+        for m, c in tailg:
+            mm = mono_mul(ug, m)
+            out[mm] = (out.get(mm, 0) - c) % p
+        return out, 1
+    h = gcd(lcf, lcg)
+    a, b = lcg // h, lcf // h
+    out = {mono_mul(uf, m): a * c for m, c in tailf}
+    for m, c in tailg:
+        mm = mono_mul(ug, m)
+        out[mm] = out.get(mm, 0) - b * c
+    return out, lcf * a
+
+
 def s_polynomial(f: Poly, g: Poly) -> Poly:
-    """The S-polynomial, with leading terms cancelled."""
+    """The S-polynomial u_f * f / lc(f) - u_g * g / lc(g), with leading terms cancelled."""
     ring = f.ring
-    field = ring.field
-    lmf, lmg = f.leading_monomial(), g.leading_monomial()
-    big = mono_lcm(lmf, lmg)
-    mf = Poly(ring, {mono_div(big, lmf): field.inv(f.leading_coeff())})
-    mg = Poly(ring, {mono_div(big, lmg): field.inv(g.leading_coeff())})
-    return mf * f - mg * g
+    if g.ring is not ring and g.ring != ring:
+        raise ValueError("polynomials belong to different rings")
+    rf, rg = _reducer(f), _reducer(g)
+    return _scaled_poly(ring, *_s_terms(ring, rf, rg, mono_lcm(rf[0], rg[0])))
 
 
 def buchberger(gens, ring: PolyRing | None = None) -> GroebnerBasis:
@@ -177,7 +258,9 @@ def buchberger(gens, ring: PolyRing | None = None) -> GroebnerBasis:
 
     Deterministic: the reduced basis is unique for the ideal and order, and
     the run itself uses a fixed pair strategy (ascending weighted degree of
-    the pair lcm, then the lcm itself, then indices).
+    the pair lcm, then the lcm itself, then indices). The working basis is
+    kept in reducer form: primitive integer polynomials over QQ, monic ones
+    over GF(p).
     """
     polys = [g for g in gens if g is not None and not g.is_zero]
     if ring is None:
@@ -188,8 +271,8 @@ def buchberger(gens, ring: PolyRing | None = None) -> GroebnerBasis:
         if g.ring != ring:
             raise ValueError("generators belong to different rings")
 
-    basis = [_scale_primitive(g) for g in polys]
-    lms = [g.leading_monomial() for g in basis]
+    basis = [_reducer(g) for g in polys]
+    lms = [b[0] for b in basis]
     key = ring.order.key
 
     heap: list = []
@@ -229,12 +312,13 @@ def buchberger(gens, ring: PolyRing | None = None) -> GroebnerBasis:
                 break
         if skip:
             continue
-        r = reduce_against(s_polynomial(basis[i], basis[j]), basis)
-        if r.is_zero:
+        # the remainder's scale does not matter: it is made primitive (monic)
+        r, _ = _divide(ring, _s_terms(ring, basis[i], basis[j], big)[0], 1, basis)
+        if not r:
             continue
-        r = _scale_primitive(r)
-        basis.append(r)
-        lms.append(r.leading_monomial())
+        lm = next(iter(r))  # the remainder's terms are in descending order
+        basis.append(_make_reducer(ring, lm, r))
+        lms.append(lm)
         k = len(basis) - 1
         for i2 in range(k):
             push(i2, k)
@@ -243,20 +327,24 @@ def buchberger(gens, ring: PolyRing | None = None) -> GroebnerBasis:
 
 
 def _interreduce(basis, ring: PolyRing):
-    """Minimalize and tail-reduce a Groebner basis into its reduced form."""
+    """Minimalize and tail-reduce a Groebner basis, given in reducer form,
+    into its reduced form: monic Polys sorted by leading monomial."""
     key = ring.order.key
-    ordered = sorted((g for g in basis if not g.is_zero), key=lambda g: key(g.leading_monomial()))
-    minimal: list[Poly] = []
-    for g in ordered:
-        lm = g.leading_monomial()
-        if any(mono_divides(h.leading_monomial(), lm) for h in minimal):
+    ordered = sorted(basis, key=lambda b: key(b[0]))
+    minimal: list = []
+    for b in ordered:
+        if any(mono_divides(h[0], b[0]) for h in minimal):
             continue
-        minimal.append(g)
+        minimal.append(b)
     reduced = []
-    for i, g in enumerate(minimal):
+    for i, (lm, lc, tail) in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
-        reduced.append(_make_monic(reduce_against(g, others)))
-    reduced.sort(key=lambda g: key(g.leading_monomial()))
+        work = dict(tail)
+        work[lm] = lc
+        # no other lead divides lm, so lm stays in the remainder; dividing
+        # by its coefficient makes g monic (over GF(p) it is 1 already)
+        r, _ = _divide(ring, work, 1, others)
+        reduced.append(_scaled_poly(ring, r, r[lm]))
     return tuple(reduced)
 
 

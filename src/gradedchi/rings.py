@@ -311,15 +311,17 @@ class Poly:
     """A sparse polynomial: a map from exponent tuples to nonzero coefficients.
 
     Immutable by convention: the leading monomial is found on first use and
-    kept, so nothing may write to terms after construction.
+    kept, as is the reducer form division uses (groebner._reducer), so
+    nothing may write to terms after construction.
     """
 
-    __slots__ = ("ring", "terms", "_lead")
+    __slots__ = ("ring", "terms", "_lead", "_red")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = {m: c for m, c in terms.items() if c}
         self._lead = None
+        self._red = None
 
     @property
     def is_zero(self) -> bool:

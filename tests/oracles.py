@@ -2,10 +2,11 @@
 
 Everything here is deliberately naive and shares no code with the library
 implementation: dense Fraction matrices, spanning sets instead of Groebner
-bases, direct enumeration of monomials. Slow but obviously correct. The two
-sparse reducers at the end are frozen copies of older library reducers: one
-rescales after every elimination step, the other finds each polynomial's
-leading monomial by rescanning for the maximum. Each is kept as the
+bases, direct enumeration of monomials. Slow but obviously correct. The
+sparse routines at the end are frozen copies of older library code: one
+reducer rescales after every elimination step, the other finds each
+polynomial's leading monomial by rescanning for the maximum, and the
+S-polynomial is built from generic polynomial products. Each is kept as the
 reference for the faster one.
 """
 
@@ -302,3 +303,21 @@ def scan_reduce_against(p, reducers):
                 work.pop(mm, None)
                 cancelled.add(mm)
     return list(remainder.items()), reentries
+
+
+# ---------------------------------------------------------------------------
+# S-polynomial from generic products
+
+
+def mul_s_polynomial(f, g):
+    """The S-polynomial u_f * f / lc(f) - u_g * g / lc(g) in the form
+    groebner.s_polynomial replaced: two generic products of a one-term Poly
+    with f and g, then a difference."""
+    ring = f.ring
+    field = ring.field
+    key = ring.order.key
+    lmf, lmg = max(f.terms, key=key), max(g.terms, key=key)
+    big = tuple(max(a, b) for a, b in zip(lmf, lmg))
+    mf = type(f)(ring, {tuple(a - b for a, b in zip(big, lmf)): field.inv(f.terms[lmf])})
+    mg = type(f)(ring, {tuple(a - b for a, b in zip(big, lmg)): field.inv(g.terms[lmg])})
+    return mf * f - mg * g

@@ -20,6 +20,7 @@ from gradedchi.rings import QQ, GradedRing, Poly, PolyRing, PrimeField, field_fr
 
 from oracles import (
     monomials_of_degree,
+    mul_s_polynomial,
     poly_to_dict,
     quotient_piece_dim,
     random_homogeneous_poly,
@@ -144,6 +145,22 @@ def test_normal_form_ring_mismatch():
             normal_form(p, gb)
 
 
+def test_reduce_against_ring_mismatch():
+    qq = PolyRing(("X", "Y"))
+    gf7 = PolyRing(("X", "Y"), field=PrimeField(7))
+    heavy = PolyRing(("X", "Y"), (1, 2))
+    deglex = PolyRing(("X", "Y"), order="deglex")
+    for p_ring, r_ring in ((qq, gf7), (gf7, qq), (qq, heavy), (qq, deglex), (deglex, qq)):
+        X, Y = p_ring.gens()
+        p = X * X + Y * Y if p_ring.weights == (1, 1) else X * X + Y
+        rx, ry = r_ring.gens()
+        reducer = rx - r_ring.constant(3) * ry if r_ring.weights == (1, 1) else rx * rx - ry
+        with pytest.raises(ValueError, match="different rings"):
+            reduce_against(p, [X * Y, reducer])
+        with pytest.raises(ValueError, match="different rings"):
+            s_polynomial(p, reducer)
+
+
 def test_s_polynomial_cancels_leading_terms():
     r = _ring3()
     x, y, z = r.gens()
@@ -230,6 +247,39 @@ def _random_poly(rng, ring, maxdeg, nterms):
     return Poly(ring, {m: ring.field.coerce(rng.choice([-2, -1, 1, 2])) for m in chosen})
 
 
+_RATIONALS = tuple(Fraction(c) for c in ("1/2", "-5/3", "7", "-9/4", "3/7", "-1", "2"))
+
+
+def _random_rational_poly(rng, ring, maxdeg, nterms, negative_lead=False):
+    """A random polynomial with coefficients from _RATIONALS, optionally
+    with a negative leading coefficient (before coercion into the field)."""
+    monos = [m for d in range(maxdeg + 1) for m in monomials_of_degree(ring.weights, d)]
+    chosen = rng.sample(monos, min(nterms, len(monos)))
+    coeffs = {m: rng.choice(_RATIONALS) for m in chosen}
+    if negative_lead:
+        coeffs[max(chosen, key=ring.order.key)] = rng.choice([c for c in _RATIONALS if c < 0])
+    return Poly(ring, {m: ring.field.coerce(c) for m, c in coeffs.items()})
+
+
+def _random_reduction_ring(rng):
+    nv = rng.randrange(2, 4)
+    return PolyRing(
+        tuple(f"x{i}" for i in range(nv)),
+        tuple(rng.choice([1, 2, 3]) for _ in range(nv)),
+        field=rng.choice([QQ, PrimeField(32003)]),
+        order=rng.choice(["grevlex", "deglex"]),
+    )
+
+
+def _assert_field_coefficients(poly):
+    p = poly.ring.field.p
+    for c in poly.terms.values():
+        if p:
+            assert type(c) is int and 1 <= c < p
+        else:
+            assert type(c) is Fraction
+
+
 def test_reduce_against_matches_max_scan_oracle():
     # arbitrary reducer lists, not Groebner bases: the heap must pop the same
     # leading monomial as a rescan at every step, so the remainder's terms
@@ -237,14 +287,7 @@ def test_reduce_against_matches_max_scan_oracle():
     rng = random.Random(4071)
     reentries = 0
     for trial in range(300):
-        nv = rng.randrange(2, 4)
-        weights = tuple(rng.choice([1, 2, 3]) for _ in range(nv))
-        r = PolyRing(
-            tuple(f"x{i}" for i in range(nv)),
-            weights,
-            field=rng.choice([QQ, PrimeField(32003)]),
-            order=rng.choice(["grevlex", "deglex"]),
-        )
+        r = _random_reduction_ring(rng)
         p = _random_poly(rng, r, 7, rng.randrange(1, 9))
         reducers = [
             _random_poly(rng, r, 4, rng.randrange(1, 4)) for _ in range(rng.randrange(1, 4))
@@ -253,8 +296,34 @@ def test_reduce_against_matches_max_scan_oracle():
         reentries += n
         nf = reduce_against(p, reducers)
         assert list(nf.terms.items()) == expected
+        _assert_field_coefficients(nf)
     # the inputs include monomials that cancel out and later come back
     assert reentries > 0
+    # non-integral rationals and negative reducer leads: over QQ the
+    # fraction-free division rescales at nearly every step
+    rng = random.Random(4073)
+    for trial in range(300):
+        r = _random_reduction_ring(rng)
+        p = _random_rational_poly(rng, r, 7, rng.randrange(1, 9))
+        reducers = [
+            _random_rational_poly(rng, r, 4, rng.randrange(1, 4), negative_lead=True)
+            for _ in range(rng.randrange(1, 4))
+        ]
+        expected, _ = scan_reduce_against(p, reducers)
+        nf = reduce_against(p, reducers)
+        assert list(nf.terms.items()) == expected
+        _assert_field_coefficients(nf)
+
+
+def test_s_polynomial_matches_multiply_oracle():
+    rng = random.Random(4074)
+    for trial in range(200):
+        r = _random_reduction_ring(rng)
+        f = _random_rational_poly(rng, r, 5, rng.randrange(1, 7), negative_lead=rng.random() < 0.5)
+        g = _random_rational_poly(rng, r, 5, rng.randrange(1, 7), negative_lead=rng.random() < 0.5)
+        s = s_polynomial(f, g)
+        assert s.terms == mul_s_polynomial(f, g).terms
+        _assert_field_coefficients(s)
 
 
 def _to_sympy(g, syms, sympy):
@@ -275,6 +344,29 @@ def _monic_terms(items, field):
     return tuple(sorted((m, field.mul(lead, c)) for m, c in items))
 
 
+def _assert_matches_sympy(gens, r, sympy):
+    gb = buchberger(gens, ring=r)
+    field = r.field
+    syms = sympy.symbols(r.names)
+    opts = {"order": {"grevlex": "grevlex", "deglex": "grlex"}[r.order.kind]}
+    if field.p:
+        opts["modulus"] = field.p
+    theirs = sympy.groebner([_to_sympy(g, syms, sympy) for g in gens], *syms, **opts)
+    expected = set()
+    for g in theirs.polys:
+        # terms() sorts by the order it is given, descending; over QQ the
+        # coefficients are primitive integers, over GF(p) symmetric residues
+        items = [
+            (m, field.coerce(Fraction(int(c.p), int(c.q)) if field.p == 0 else int(c)))
+            for m, c in g.terms(order=opts["order"])
+        ]
+        expected.add(_monic_terms(items, field))
+    ours = {_monic_terms(g.sorted_terms(), field) for g in gb}
+    assert ours == expected
+    assert len(gb) == len(theirs.polys)
+    return gb
+
+
 def test_buchberger_matches_sympy_groebner():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(4072)
@@ -286,21 +378,23 @@ def test_buchberger_matches_sympy_groebner():
         gens = [
             random_homogeneous_poly(rng, r, rng.randrange(1, 4)) for _ in range(rng.randrange(1, 4))
         ]
-        gb = buchberger(gens, ring=r)
-        syms = sympy.symbols(r.names)
-        opts = {"order": {"grevlex": "grevlex", "deglex": "grlex"}[order]}
-        if field.p:
-            opts["modulus"] = field.p
-        theirs = sympy.groebner([_to_sympy(g, syms, sympy) for g in gens], *syms, **opts)
-        expected = set()
-        for g in theirs.polys:
-            # terms() sorts by the order it is given, descending; over QQ the
-            # coefficients are primitive integers, over GF(p) symmetric residues
-            items = [
-                (m, field.coerce(Fraction(int(c.p), int(c.q)) if field.p == 0 else int(c)))
-                for m, c in g.terms(order=opts["order"])
-            ]
-            expected.add(_monic_terms(items, field))
-        ours = {_monic_terms(g.sorted_terms(), field) for g in gb}
-        assert ours == expected
-        assert len(gb) == len(theirs.polys)
+        _assert_matches_sympy(gens, r, sympy)
+    # dense forms with non-integral coefficients and leads other than +-1:
+    # the working basis is integer, so pseudo-division rescales at most steps;
+    # the returned basis is still monic with Fraction coefficients over QQ
+    rng = random.Random(4075)
+    for trial in range(30):
+        nv = rng.randrange(2, 4)
+        field = rng.choice([QQ, QQ, PrimeField(32003)])
+        order = rng.choice(["grevlex", "deglex"])
+        r = PolyRing(tuple(f"x{i}" for i in range(nv)), field=field, order=order)
+        gens = []
+        for _ in range(rng.randrange(2, 4)):
+            monos = monomials_of_degree(r.weights, rng.randrange(1, 4))
+            coeffs = {m: rng.choice(_RATIONALS) for m in monos}
+            coeffs[max(monos, key=r.order.key)] = rng.choice([c for c in _RATIONALS if abs(c) != 1])
+            gens.append(Poly(r, {m: field.coerce(c) for m, c in coeffs.items()}))
+        gb = _assert_matches_sympy(gens, r, sympy)
+        for g in gb:
+            assert g.leading_coeff() == 1
+            _assert_field_coefficients(g)
