@@ -529,6 +529,14 @@ def _resolution_cases():
         field = ("qq", "fp:32003")[seed % 2]
         R, I = _random_quotient(random.Random(700 + seed), field_from_name(field), artinian=seed % 4 < 2)
         cases.append((f"random-{seed}-{field}", R, I, 4, 7))
+    # over QQ the dense cone's normal forms mix int and Fraction entries
+    for field in ("qq", "fp:32003"):
+        session = parse_session(DENSE_CUBIC_CONE, field_from_name(field))
+        cases.append((f"dense_cubic_cone-{field}", session.ring, session.ideals["I"], 6, 10))
+    for seed in range(16):
+        field = ("fp:2", "fp:7")[seed % 2]
+        R, I = _random_quotient(random.Random(900 + seed), field_from_name(field), artinian=seed % 4 < 2)
+        cases.append((f"random-{seed}-{field}", R, I, 4, 7))
     return cases
 
 
@@ -548,13 +556,24 @@ def _resolution_digest(res):
     return hashlib.sha256(repr((res.degrees, images)).encode()).hexdigest()
 
 
+def _resolution_entry(R, I, i_max, d_max):
+    res = truncated_resolution(R, I, i_max, d_max)
+    return {"betti": [len(d) for d in res.degrees], "sha256": _resolution_digest(res)}
+
+
 def record_resolution_goldens():
-    """Rewrite tests/goldens/resolutions.json from the current code; run as
-    `PYTHONPATH=src:tests python -c "import test_homology as t; t.record_resolution_goldens()"`."""
-    out = {}
+    """Append the cases that tests/goldens/resolutions.json lacks, from the
+    current code; run as
+    `PYTHONPATH=src:tests python -c "import test_homology as t; t.record_resolution_goldens()"`.
+    Recorded entries are kept verbatim: if the current code would change one,
+    this raises, naming the case, and writes nothing."""
+    out = json.loads(RESOLUTION_GOLDENS.read_text())
     for name, R, I, i_max, d_max in _resolution_cases():
-        res = truncated_resolution(R, I, i_max, d_max)
-        out[name] = {"betti": [len(d) for d in res.degrees], "sha256": _resolution_digest(res)}
+        got = _resolution_entry(R, I, i_max, d_max)
+        if name not in out:
+            out[name] = got
+        elif got != out[name]:
+            raise ValueError(f"recorded resolution {name!r} would change: {out[name]} -> {got}")
     lines = (f"  {json.dumps(name)}: {json.dumps(entry)}" for name, entry in out.items())
     RESOLUTION_GOLDENS.write_text("{\n" + ",\n".join(lines) + "\n}\n")
 
@@ -565,6 +584,24 @@ def test_resolutions_match_golden():
     cases = _resolution_cases()
     assert sorted(golden) == sorted(name for name, *_ in cases)
     for name, R, I, i_max, d_max in cases:
-        res = truncated_resolution(R, I, i_max, d_max)
-        got = {"betti": [len(d) for d in res.degrees], "sha256": _resolution_digest(res)}
-        assert got == golden[name], name
+        assert _resolution_entry(R, I, i_max, d_max) == golden[name], name
+
+
+def test_golden_recorder_only_appends(tmp_path, monkeypatch):
+    """The recorder adds a missing case after the recorded ones, leaves those
+    byte for byte, and refuses to overwrite one that would change."""
+    text = RESOLUTION_GOLDENS.read_text()
+    golden = json.loads(text)
+    last = list(golden)[-1]
+    path = tmp_path / "resolutions.json"
+    monkeypatch.setitem(globals(), "RESOLUTION_GOLDENS", path)
+    path.write_text(text.replace(f",\n  {json.dumps(last)}: {json.dumps(golden[last])}", ""))
+    assert last not in json.loads(path.read_text())
+    record_resolution_goldens()
+    assert path.read_text() == text
+    name = "cubic_cone-qq"
+    tampered = text.replace(golden[name]["sha256"], "0" * 64)
+    path.write_text(tampered)
+    with pytest.raises(ValueError, match=name):
+        record_resolution_goldens()
+    assert path.read_text() == tampered
