@@ -35,7 +35,6 @@ from .rings import (
     PolyRing,
     mono_div,
     mono_divides,
-    mono_is_one,
     mono_lcm,
     mono_mul,
 )
@@ -244,15 +243,6 @@ def _s_terms(ring: PolyRing, rf, rg, big):
     return out, lcf * a
 
 
-def s_polynomial(f: Poly, g: Poly) -> Poly:
-    """The S-polynomial u_f * f / lc(f) - u_g * g / lc(g), with leading terms cancelled."""
-    ring = f.ring
-    if g.ring is not ring and g.ring != ring:
-        raise ValueError("polynomials belong to different rings")
-    rf, rg = _reducer(f), _reducer(g)
-    return _scaled_poly(ring, *_s_terms(ring, rf, rg, mono_lcm(rf[0], rg[0])))
-
-
 def buchberger(gens, ring: PolyRing | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens.
 
@@ -375,10 +365,6 @@ class MonomialIdeal:
     @property
     def is_zero(self) -> bool:
         return not self.generators
-
-    @property
-    def is_unit(self) -> bool:
-        return any(mono_is_one(g) for g in self.generators)
 
 
 def leading_ideal(gb: GroebnerBasis) -> MonomialIdeal:

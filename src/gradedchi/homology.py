@@ -5,12 +5,11 @@ at a time across all homological steps: each graded piece of the kernel of
 the previous map is computed as the nullspace of an exact matrix over k on
 standard-monomial bases, and minimal generators are the kernel vectors that
 survive reduction against products of the generators already found
-(degreewise Nakayama). Each degree's matrix of products is built and
-eliminated once: one tagged reduction gives both the span for the
-minimal-generator test at step i and the kernel that step i + 1 resolves
-(La Scala and Stillman, JSC 1998). Tensoring the truncated
-resolution with R/J and taking ranks gives the graded Tor table, which
-cross-checks the closed-form chi.
+(degreewise Nakayama). In each degree, every step's products are
+eliminated once for a rank, and a rank count tells which steps gain
+generators: only there is a kernel computed (La Scala and Stillman, JSC
+1998). Tensoring the truncated resolution with R/J and taking ranks gives
+the graded Tor table, which cross-checks the closed-form chi.
 
 The inner loop runs on coordinate data, not polynomials. A GradedBasis
 keeps one normal-form table, monomial -> (monomial, coefficient) pairs.
@@ -185,13 +184,17 @@ def _resolve(ring: GradedRing, gens, i_max: int, d_max: int) -> TruncatedResolut
     candidates = [q for q in (rb.multiply_nf(one, g) for g in gens) if q]
     candidates.sort(key=lambda p: (p.homogeneous_degree(), p.canonical_key()))
 
-    # cols: the degree-j products of F_i's earlier generators; below the top
-    # step, their kernel and the span for the minimal-generator test come
-    # from one elimination. A generator accepted at degree j is independent
-    # of cols, so its own column adds no kernel vector. Generators arrive in
-    # ascending degree, so offsets over the partial degree lists are final
-    # for every degree <= j. images[i] keeps each generator's image as
-    # (component, monomial, coefficient) terms.
+    # At each (i, j), cols are the degree-j products of F_i's earlier
+    # generators. Added to a fresh span, they give the minimal-generator span,
+    # and its row count is their rank r_i. For i >= 2 they lie in ker d_{i-1},
+    # of dimension n_{i-1} - r_{i-1} (n_{i-1}: step i-1's column count), so
+    # the difference counts the new generators at (i, j). Only then is that
+    # kernel computed, and its vectors are tested in canonical order. A
+    # generator accepted at degree j is independent of cols, so its own
+    # column adds no kernel vector. Generators arrive in ascending degree, so
+    # offsets over the partial degree lists are final for every degree <= j.
+    # images[i] keeps each generator's image as (component, monomial,
+    # coefficient) terms.
     degrees = [[0]] + [[] for _ in range(i_max)]
     images = [[] for _ in range(i_max + 1)]
     start = candidates[0].homogeneous_degree() if candidates else d_max + 1
@@ -202,19 +205,19 @@ def _resolve(ring: GradedRing, gens, i_max: int, d_max: int) -> TruncatedResolut
             for p in candidates
             if p.homogeneous_degree() == j
         ]
+        # never leave the i-loop early: over an Artinian ring F_i can have
+        # degree-j products, which step i + 1 needs, when F_{i-1} has none
         for i in range(1, i_max + 1):
             prev_degs = degrees[i - 1]
-            cols = []
-            if piece or (degrees[i] and i < i_max):
-                cols = _image_columns(rb, degrees[i], images[i], prev_degs, j)
+            cols = _image_columns(rb, degrees[i], images[i], prev_degs, j)
             span = EchelonSpan(field)
-            # never leave the i-loop early: over an Artinian ring F_i can have
-            # degree-j products, which step i + 1 needs, when F_{i-1} has none
-            kernel = kernel_of_columns(cols, len(cols), span) if cols and i < i_max else []
+            for col in cols:
+                span.add(col)
+            rank = len(span.rows)
+            if i > 1:
+                new = len(prev_cols) - prev_rank - rank
+                piece = kernel_of_columns(prev_cols, len(prev_cols), field) if new > 0 else []
             if piece:
-                if i == i_max:
-                    for col in cols:
-                        span.add(col)
                 # position -> (component, monomial) in the degree-j piece of F_{i-1}
                 slots = [(h, m) for h, d in enumerate(prev_degs) for m in rb.basis(j - d)]
                 for vec in piece:
@@ -222,7 +225,7 @@ def _resolve(ring: GradedRing, gens, i_max: int, d_max: int) -> TruncatedResolut
                     if r:
                         degrees[i].append(j)
                         images[i].append(tuple((*slots[k], c) for k, c in sorted(r.items())))
-            piece = kernel
+            prev_cols, prev_rank = cols, rank
 
     return TruncatedResolution(
         ring, gens, i_max, d_max, tuple(map(tuple, degrees)), tuple(map(tuple, images))

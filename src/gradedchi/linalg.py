@@ -12,8 +12,8 @@ identity entry, and a column that reduces to zero yields the unique relation
 expressing it through the independent columns before it. That relation,
 scaled as above, does not depend on how the reduction got there, so every
 kernel basis computed here is canonical: identical inputs give identical
-output, entry for entry. The same pass leaves the echelon form of the
-columns, tags stripped, in the span it ran in.
+output, entry for entry. A kernel call runs in its own span and returns only
+the kernel; a rank is the row count of a span filled with add.
 """
 
 from __future__ import annotations
@@ -118,19 +118,17 @@ def rank_of_vectors(vecs, field) -> int:
     return len(span.rows)
 
 
-def kernel_of_columns(cols, ncols: int, span: EchelonSpan):
-    """Canonical basis of the nullspace {x : sum_j x_j * cols[j] = 0}, found
-    in span, which must be empty and is left holding the column space.
+def kernel_of_columns(cols, ncols: int, field):
+    """Canonical basis of the nullspace {x : sum_j x_j * cols[j] = 0}.
 
     Each column j is tagged with a unit entry at tag + j, past every row
     index, and reduced against the earlier columns: if its row part vanishes,
     the tagged residual is the unique relation e_j - sum x_p e_p over the
     earlier independent columns p. One kernel vector per dependent column, in
-    ascending column order, indexed by column position. Both this and
-    span.add(col) per column pick the same leads with proportional row
-    parts, so the stored rows, stripped of tags and rescaled, are the same.
+    ascending column order, indexed by column position.
     """
     tag = 1 + max((r for col in cols for r in col), default=-1)
+    span = EchelonSpan(field)
     out = []
     for j in range(ncols):
         vec = dict(cols[j]) if j < len(cols) else {}
@@ -141,7 +139,4 @@ def kernel_of_columns(cols, ncols: int, span: EchelonSpan):
             out.append({c - tag: v for c, v in r.items()})
         else:
             span.rows[lead] = r
-    for lead, r in span.rows.items():
-        row = {c: v for c, v in r.items() if c < tag}
-        span.rows[lead] = row if span.field.p else _primitive_int_row(row)
     return out

@@ -103,18 +103,34 @@ class RationalField:
 QQ = RationalField()
 
 
+# Miller-Rabin with the first twelve primes as bases is exact below this
+# bound (Sorenson and Webster, Math. Comp. 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 318665857834031151167461
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; raises ValueError at or above _MR_BOUND."""
+    if n >= _MR_BOUND:
+        raise ValueError(f"cannot certify {n} as prime: primes up to {_MR_BOUND - 1} are supported")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -426,9 +442,6 @@ class Poly:
                 raise AlgebraError("zero polynomial has no leading term")
             lm = self._lead = max(self.terms, key=self.ring.order.key)
         return lm
-
-    def leading_coeff(self):
-        return self.terms[self.leading_monomial()]
 
     def homogeneous_degree(self):
         """The common weighted degree of all terms.

@@ -310,9 +310,9 @@ def scan_reduce_against(p, reducers):
 
 
 def mul_s_polynomial(f, g):
-    """The S-polynomial u_f * f / lc(f) - u_g * g / lc(g) in the form
-    groebner.s_polynomial replaced: two generic products of a one-term Poly
-    with f and g, then a difference."""
+    """The S-polynomial u_f * f / lc(f) - u_g * g / lc(g) from two generic
+    products of a one-term Poly with f and g, then a difference: a reference
+    for groebner's S-pair builder, which works on shifted tails."""
     ring = f.ring
     field = ring.field
     key = ring.order.key
@@ -321,3 +321,19 @@ def mul_s_polynomial(f, g):
     mf = type(f)(ring, {tuple(a - b for a, b in zip(big, lmf)): field.inv(f.terms[lmf])})
     mg = type(f)(ring, {tuple(a - b for a, b in zip(big, lmg)): field.inv(g.terms[lmg])})
     return mf * f - mg * g
+
+
+# ---------------------------------------------------------------------------
+# primality by trial division
+
+
+def trial_division_is_prime(n):
+    """n is prime, decided by trial division up to its square root."""
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True

@@ -1,6 +1,9 @@
 """The command-line driver: reports, formats, exit codes, bundled suite."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -218,6 +221,19 @@ def test_prime_field_flag(tmp_path, capsys):
     assert main([str(f), "--field", "fp:7"]) == 0
     out = capsys.readouterr().out
     assert "numerator = 1 - 3*t^2 + 2*t^3" in out
+
+
+def test_large_prime_field_flag(tmp_path):
+    """GF(2^61 - 1) is accepted at once: its primality test does not divide
+    by every odd number up to the square root."""
+    f = tmp_path / "mod.session"
+    f.write_text("ring R { vars x, y; }\nideal I = (x^2, x*y, y^2);\nhilbert I;\n")
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    argv = [sys.executable, "-m", "gradedchi", "--field", "fp:2305843009213693951", str(f)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "numerator = 1 - 3*t^2 + 2*t^3" in done.stdout
 
 
 def test_bundled_sessions_inventory():

@@ -605,3 +605,17 @@ def test_golden_recorder_only_appends(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match=name):
         record_resolution_goldens()
     assert path.read_text() == tampered
+
+
+@pytest.mark.parametrize("name", ["cubic_cone-qq", "cubic_cone-fp:32003", "two_planes-qq", "two_planes-fp:32003"])
+def test_kernels_only_where_generators_appear(name, monkeypatch):
+    """A kernel is computed at (i, j), i >= 2, only where the rank count
+    (n_{i-1} - r_{i-1}) - r_i is positive, which is exactly where F_i gains
+    a generator of degree j."""
+    calls = []
+    kernel = homology.kernel_of_columns
+    monkeypatch.setattr(homology, "kernel_of_columns", lambda *args: calls.append(1) or kernel(*args))
+    (R, I, i_max, d_max), = [case for n, *case in _resolution_cases() if n == name]
+    res = truncated_resolution(R, I, i_max, d_max)
+    cells = {(i, j) for i in range(2, i_max + 1) for j in res.degrees[i]}
+    assert cells and len(calls) == len(cells)
