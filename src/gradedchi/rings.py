@@ -112,7 +112,7 @@ _MR_BOUND = 318665857834031151167461
 def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; raises ValueError at or above _MR_BOUND."""
     if n >= _MR_BOUND:
-        raise ValueError(f"cannot certify {n} as prime: primes up to {_MR_BOUND - 1} are supported")
+        raise ValueError(f"cannot certify {n} as prime: the test is exact only below {_MR_BOUND}")
     if n < 2:
         return False
     for a in _MR_BASES:

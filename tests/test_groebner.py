@@ -8,13 +8,13 @@ import pytest
 from gradedchi.errors import AlgebraError
 from gradedchi.groebner import (
     MonomialIdeal,
+    _reducer,
+    _s_terms,
+    _scaled_poly,
     buchberger,
     leading_ideal,
     minimalize_monomials,
     normal_form,
-    _reducer,
-    _s_terms,
-    _scaled_poly,
     reduce_against,
     standard_monomials,
 )

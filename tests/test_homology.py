@@ -614,7 +614,12 @@ def test_kernels_only_where_generators_appear(name, monkeypatch):
     a generator of degree j."""
     calls = []
     kernel = homology.kernel_of_columns
-    monkeypatch.setattr(homology, "kernel_of_columns", lambda *args: calls.append(1) or kernel(*args))
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(homology, "kernel_of_columns", counted)
     (R, I, i_max, d_max), = [case for n, *case in _resolution_cases() if n == name]
     res = truncated_resolution(R, I, i_max, d_max)
     cells = {(i, j) for i in range(2, i_max + 1) for j in res.degrees[i]}
