@@ -9,17 +9,15 @@ coprime and chain criteria.
 Reduction is heap-ordered division (Monagan & Pearce, CASC 2007): each
 monomial's order key is computed once, when it enters the working
 polynomial, and the heap yields the same leading monomial a full rescan
-would, so the reduction sequence is that of plain division. Over QQ the
-division is fraction-free (integer pseudo-division, Geddes, Czapor &
-Labahn, *Algorithms for Computer Algebra*, 1992, §2.8): the input is scaled
-to integers, and each step multiplies the working polynomial and the
-remainder by lc_r / gcd(c, lc_r) instead of dividing by lc_r, so the loop
-makes no Fraction. The integer remainder and its scale come out together;
-`reduce_against` divides by the scale once per remainder term, and
-Buchberger keeps its working basis as primitive integer polynomials until
-the final basis is made monic. Each Poly keeps its reducer form (leading
-monomial, integer lead, tail; monic over GF(p)) once found, so reducers are
-not prepared again per call.
+would, so the reduction sequence is that of plain division. The division is
+fraction-free (integer pseudo-division, Geddes, Czapor & Labahn,
+*Algorithms for Computer Algebra*, 1992, §2.8): each step multiplies the
+working polynomial and the remainder by lc_r / gcd(c, lc_r) instead of
+dividing by lc_r. Reducers are primitive integer polynomials over QQ and
+monic over GF(p), where lc_r = 1 makes the same step rescale nothing; over
+GF(p) a coefficient is reduced mod p when it is read. `reduce_against`
+divides by the scale once per remainder term. A GroebnerBasis keeps its
+generators in reducer form, so dividing by a basis prepares no reducer.
 """
 
 from __future__ import annotations
@@ -41,20 +39,28 @@ from .rings import (
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis; generators are monic and sorted by leading monomial."""
+    """A reduced Groebner basis; generators are monic and sorted by leading monomial.
 
-    __slots__ = ("ring", "generators")
+    Built by buchberger from the basis in reducer form (leading monomial,
+    integer lead, tail), which it keeps as reducers for division; the
+    generators are the same polynomials made monic.
+    """
 
-    def __init__(self, ring: PolyRing, generators):
+    __slots__ = ("ring", "generators", "reducers")
+
+    def __init__(self, ring: PolyRing, reducers):
         self.ring = ring
-        self.generators = tuple(generators)
+        self.reducers = tuple(reducers)
+        self.generators = tuple(
+            _scaled_poly(ring, dict(((lm, lc), *tail)), lc) for lm, lc, tail in self.reducers
+        )
 
     @property
     def order(self):
         return self.ring.order
 
     def leading_monomials(self):
-        return tuple(g.leading_monomial() for g in self.generators)
+        return tuple(r[0] for r in self.reducers)
 
     def __len__(self):
         return len(self.generators)
@@ -87,9 +93,10 @@ def _int_terms(terms: dict):
 
 def _scaled_poly(ring: PolyRing, terms: dict, scale) -> Poly:
     """The Poly terms / scale: one exact Fraction per term over QQ; over
-    GF(p) the terms are residues already and the scale is 1."""
-    if ring.field.p:
-        return Poly(ring, terms)
+    GF(p) the scale is 1 and each term is reduced mod p."""
+    p = ring.field.p
+    if p:
+        return Poly(ring, {m: c % p for m, c in terms.items()})
     return Poly(ring, {m: Fraction(c, scale) for m, c in terms.items()})
 
 
@@ -111,32 +118,28 @@ def _make_reducer(ring: PolyRing, lm, terms: dict):
 
 
 def _reducer(r: Poly):
-    """The reducer form of a nonzero Poly, computed once and kept on it."""
-    red = r._red
-    if red is None:
-        lm = r.leading_monomial()
-        terms = r.terms if r.ring.field.p else _int_terms(r.terms)[0]
-        red = r._red = _make_reducer(r.ring, lm, terms)
-    return red
+    """The reducer form of a nonzero Poly."""
+    terms = r.terms if r.ring.field.p else _int_terms(r.terms)[0]
+    return _make_reducer(r.ring, r.leading_monomial(), terms)
 
 
 def _divide(ring: PolyRing, work: dict, scale: int, reducers):
     """The division core: reduce work / scale against reducer forms.
 
-    work maps monomials to integers (residues over GF(p)) and is consumed.
-    The first reducer (in list order) whose leading monomial divides the
-    working polynomial's leading monomial is used at each step. Over QQ a
-    step with coefficient c and reducer lead l multiplies the working
-    polynomial, the remainder and the scale by l / gcd(c, l) and subtracts
-    (c / gcd(c, l)) * q * tail; over GF(p) reducers are monic, the scale
-    stays 1 and a step subtracts c * q * tail with one reduction mod p per
-    term. The working polynomial's monomials wait in a heap keyed by the
-    negated order key, computed once when a monomial first enters; a
-    monomial that cancels keeps its entry with a zero coefficient and is
-    skipped when popped.
+    work maps monomials to integers and is consumed. The first reducer (in
+    list order) whose leading monomial divides the working polynomial's
+    leading monomial is used at each step. A step with coefficient c and
+    reducer lead l multiplies the working polynomial, the remainder and the
+    scale by l / gcd(c, l) and subtracts (c / gcd(c, l)) * q * tail. Over
+    GF(p) reducers are monic, so l = 1 and the step rescales nothing; work
+    entries may leave [0, p) and are reduced mod p when popped. The working
+    polynomial's monomials wait in a heap keyed by the negated order key,
+    computed once when a monomial first enters; a monomial that cancels
+    keeps its entry with a zero coefficient and is skipped when popped.
 
-    Returns (remainder, scale): the remainder's integer terms in descending
-    monomial order, and the integer its true value is scaled by.
+    Returns (remainder, scale): the remainder's integer terms (residues over
+    GF(p)) in descending monomial order, and the integer its true value is
+    scaled by.
     """
     p = ring.field.p
     key = ring.order.key
@@ -147,6 +150,8 @@ def _divide(ring: PolyRing, work: dict, scale: int, reducers):
     while heap:
         lm = heappop(heap)[1]
         c = work.pop(lm)
+        if p:
+            c %= p
         if not c:
             continue
         for lmr, lcr, tail in reducers:
@@ -156,15 +161,6 @@ def _divide(ring: PolyRing, work: dict, scale: int, reducers):
             remainder[lm] = c
             continue
         q = mono_div(lm, lmr)
-        if p:
-            for m2, c2 in tail:
-                mm = mono_mul(q, m2)
-                old = work.get(mm)
-                if old is None:
-                    old = 0
-                    heappush(heap, (_neg_key(key, mm), mm))
-                work[mm] = (old - c * c2) % p
-            continue
         g = gcd(c, lcr)
         c //= g
         if g != lcr:
@@ -183,7 +179,8 @@ def _divide(ring: PolyRing, work: dict, scale: int, reducers):
 
 
 def reduce_against(p: Poly, reducers) -> Poly:
-    """Full normal form of p against an ordered list of reducers.
+    """Full normal form of p against an ordered list of reducers, or against
+    a GroebnerBasis, whose generators are kept in reducer form.
 
     Every term of the result is divisible by no reducer leading monomial;
     the first reducer (in list order) whose leading monomial divides is used
@@ -196,12 +193,17 @@ def reduce_against(p: Poly, reducers) -> Poly:
     division over the field. Reducers from another ring raise ValueError.
     """
     ring = p.ring
-    reds = []
-    for r in reducers:
-        if r.ring is not ring and r.ring != ring:
+    if isinstance(reducers, GroebnerBasis):
+        if reducers.ring is not ring and reducers.ring != ring:
             raise ValueError("polynomial and reducers belong to different rings")
-        if r.terms:
-            reds.append(_reducer(r))
+        reds = reducers.reducers
+    else:
+        reds = []
+        for r in reducers:
+            if r.ring is not ring and r.ring != ring:
+                raise ValueError("polynomial and reducers belong to different rings")
+            if r.terms:
+                reds.append(_reducer(r))
     work, scale = (dict(p.terms), 1) if ring.field.p else _int_terms(p.terms)
     return _scaled_poly(ring, *_divide(ring, work, scale, reds))
 
@@ -209,31 +211,26 @@ def reduce_against(p: Poly, reducers) -> Poly:
 def normal_form(p: Poly, gb) -> Poly:
     """Normal form of p modulo a Groebner basis (k-linear and idempotent)."""
     if isinstance(gb, GroebnerBasis):
-        ring, reducers = gb.ring, gb.generators
+        ring = gb.ring
     else:
-        reducers = tuple(gb)
-        ring = reducers[0].ring if reducers else p.ring
+        gb = tuple(gb)
+        ring = gb[0].ring if gb else p.ring
     if p.ring != ring:
         raise ValueError("polynomial and basis belong to different rings")
-    return reduce_against(p, reducers)
+    return reduce_against(p, gb)
 
 
 def _s_terms(ring: PolyRing, rf, rg, big):
     """The S-polynomial of two reducer forms with leading-monomial lcm big,
     built from the shifted tails: (terms, scale), the true value being
-    terms / scale. Over QQ, with h = gcd of the integer leads, the terms are
+    terms / scale. With h = gcd of the integer leads, the terms are
     (lc_g/h) * u_f * f - (lc_f/h) * u_g * g; the cancelled leading terms are
-    never formed. Zero coefficients may remain."""
+    never formed. Over GF(p) the forms are monic, so h = 1 and the scale is
+    1; the terms are integers not yet reduced mod p. Zero coefficients may
+    remain."""
     lmf, lcf, tailf = rf
     lmg, lcg, tailg = rg
     uf, ug = mono_div(big, lmf), mono_div(big, lmg)
-    p = ring.field.p
-    if p:  # monic forms: the difference is exact, scale 1
-        out = {mono_mul(uf, m): c for m, c in tailf}
-        for m, c in tailg:
-            mm = mono_mul(ug, m)
-            out[mm] = (out.get(mm, 0) - c) % p
-        return out, 1
     h = gcd(lcf, lcg)
     a, b = lcg // h, lcf // h
     out = {mono_mul(uf, m): a * c for m, c in tailf}
@@ -318,7 +315,7 @@ def buchberger(gens, ring: PolyRing | None = None) -> GroebnerBasis:
 
 def _interreduce(basis, ring: PolyRing):
     """Minimalize and tail-reduce a Groebner basis, given in reducer form,
-    into its reduced form: monic Polys sorted by leading monomial."""
+    into its reduced form, in reducer form sorted by leading monomial."""
     key = ring.order.key
     ordered = sorted(basis, key=lambda b: key(b[0]))
     minimal: list = []
@@ -331,11 +328,10 @@ def _interreduce(basis, ring: PolyRing):
         others = minimal[:i] + minimal[i + 1 :]
         work = dict(tail)
         work[lm] = lc
-        # no other lead divides lm, so lm stays in the remainder; dividing
-        # by its coefficient makes g monic (over GF(p) it is 1 already)
+        # no other lead divides lm, so lm stays in the remainder
         r, _ = _divide(ring, work, 1, others)
-        reduced.append(_scaled_poly(ring, r, r[lm]))
-    return tuple(reduced)
+        reduced.append(_make_reducer(ring, lm, r))
+    return reduced
 
 
 # ---------------------------------------------------------------------------

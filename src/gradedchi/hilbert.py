@@ -129,6 +129,6 @@ def hilbert_series(ring: GradedRing, gens=()) -> HilbertSeries:
     The ring's defining relations are appended automatically, so gens only
     need to generate I modulo those.
     """
-    gens = homogeneous_gens(gens)
+    gens = homogeneous_gens(ring, gens)
     gb = ring.groebner(gens)
     return HilbertSeries(hilbert_numerator(leading_ideal(gb), ring.weights), ring.weights)

@@ -81,7 +81,7 @@ class GradedBasis:
         """Normal form of the monomial m, as (monomial, coefficient) pairs."""
         t = self._nf.get(m)
         if t is None:
-            p = reduce_against(Poly(self.ring, {m: self.ring.field.one}), self.gb.generators)
+            p = reduce_against(Poly(self.ring, {m: self.ring.field.one}), self.gb)
             t = tuple((m2, _int_if_integral(c)) for m2, c in p.terms.items())
             self._nf[m] = t
         return t
@@ -106,8 +106,8 @@ def _graded_basis(ring: GradedRing, gens=()) -> GradedBasis:
     return ring.cached(("graded_basis", ideal_key(gens)), lambda: GradedBasis(ring.groebner(gens)))
 
 
-def _validated_gens(gens):
-    gens = homogeneous_gens(gens)
+def _validated_gens(ring: GradedRing, gens):
+    gens = homogeneous_gens(ring, gens)
     for g in gens:
         if g.homogeneous_degree() == 0:
             raise AlgebraError(f"generator {g} is a unit; the quotient module is zero")
@@ -140,13 +140,13 @@ def _image_columns(rb: GradedBasis, src_degs, elems, tgt_degs, j: int) -> list:
     generator degrees tgt_degs, of u * elems[g] for each g in order and each
     basis monomial u of degree j - src_degs[g]. An element is a sequence of
     (component, monomial, coefficient) terms; products of coefficients are
-    summed as plain numbers, and over GF(p) reduced once per entry."""
+    summed as plain numbers and only exact zeros are dropped: over GF(p) the
+    spans that read the columns take their entries mod p."""
     where, off = [], 0
     for d in tgt_degs:
         idx = rb.index(j - d)
         where.append((off, idx))
         off += len(idx)
-    p = rb.ring.field.p
     cols = []
     for elem, d in zip(elems, src_degs):
         for u in rb.basis(j - d):
@@ -156,10 +156,7 @@ def _image_columns(rb: GradedBasis, src_degs, elems, tgt_degs, j: int) -> list:
                 for m2, c2 in rb.nf_monomial(mono_mul(u, v)):
                     k = off + idx[m2]
                     col[k] = col.get(k, 0) + c * c2
-            if p:
-                cols.append({k: x % p for k, x in col.items() if x % p})
-            else:
-                cols.append({k: x for k, x in col.items() if x})
+            cols.append({k: x for k, x in col.items() if x})
     return cols
 
 
@@ -169,7 +166,7 @@ def truncated_resolution(ring: GradedRing, gens, i_max: int = 8, d_max: int = 16
     the ring."""
     if i_max < 0 or d_max < 0:
         raise AlgebraError("imax and dmax must be nonnegative")
-    gens = _validated_gens(gens)
+    gens = _validated_gens(ring, gens)
     return ring.cached(
         ("resolution", ideal_key(gens), i_max, d_max),
         lambda: _resolve(ring, gens, i_max, d_max),
@@ -270,7 +267,7 @@ def tor_table(ring: GradedRing, I, J, i_max: int = 8, d_max: int = 16) -> TorTab
     resolution of R/I with R/J and taking ranks per graded piece."""
     if i_max < 0 or d_max < 0:
         raise AlgebraError("imax and dmax must be nonnegative")
-    J = _validated_gens(J)
+    J = _validated_gens(ring, J)
     res = truncated_resolution(ring, I, i_max + 1, d_max)
     nb = _graded_basis(ring, J)
     field = ring.field

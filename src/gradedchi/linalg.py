@@ -1,19 +1,22 @@
 """Exact sparse linear algebra over QQ and GF(p): spans, ranks, kernels.
 
-Vectors are dicts mapping column index to a nonzero coefficient. Over the
-rationals every stored row is scaled to a primitive integer vector whose
-leading (smallest-index) entry is positive; over GF(p) the leading entry is
-1. Scaling is invisible to row spaces, so ranks and kernels are unaffected
-while entries stay small.
+Vectors are dicts mapping column index to a nonzero coefficient (over GF(p)
+any integer; it is taken mod p). Over the rationals every stored row is
+scaled to a primitive integer vector whose leading (smallest-index) entry is
+positive; over GF(p) the leading entry is 1. Scaling is invisible to row
+spaces, so ranks and kernels are unaffected while entries stay small.
 
-EchelonSpan.reduce is the one elimination loop. Kernels come from it by
-tracked reduction: columns are reduced left to right, each tagged with an
-identity entry, and a column that reduces to zero yields the unique relation
-expressing it through the independent columns before it. That relation,
-scaled as above, does not depend on how the reduction got there, so every
-kernel basis computed here is canonical: identical inputs give identical
-output, entry for entry. A kernel call runs in its own span and returns only
-the kernel; a rank is the row count of a span filled with add.
+EchelonSpan.reduce is the one elimination loop, with one fraction-free step
+for both fields: over GF(p) stored leads are 1, so the step rescales
+nothing. The field shows only in normalisation and in taking updated
+entries mod p. Kernels come from that loop by tracked reduction: columns are
+reduced left to right, each tagged with an identity entry, and a column that
+reduces to zero yields the unique relation expressing it through the
+independent columns before it. That relation, scaled as above, does not
+depend on how the reduction got there, so every kernel basis computed here
+is canonical: identical inputs give identical output, entry for entry. A
+kernel call runs in its own span and returns only the kernel; a rank is the
+row count of a span filled with add.
 """
 
 from __future__ import annotations
@@ -54,26 +57,29 @@ class EchelonSpan:
     def reduce(self, vec: dict) -> dict:
         """Residual of vec modulo the current row space, canonically scaled."""
         p = self.field.p
-        if p == 0:
-            # normalise once; each step then only divides out the integer
-            # content, and the sign of the lead is fixed at the end
+        if p:
+            v = {c: val % p for c, val in vec.items() if val % p}
+        else:
             v = _primitive_int_row(vec)
-            while v:
-                lead = min(v)
-                row = self.rows.get(lead)
-                if row is None:
-                    break
-                a, b = v[lead], row[lead]
-                g = gcd(a, b)
-                sv, sr = b // g, a // g
-                if sv != 1:
-                    v = {c: val * sv for c, val in v.items()}
-                for c, val in row.items():
-                    nv = v.get(c, 0) - sr * val
-                    if nv:
-                        v[c] = nv
-                    else:
-                        v.pop(c, None)
+        while v:
+            lead = min(v)
+            row = self.rows.get(lead)
+            if row is None:
+                break
+            a, b = v[lead], row[lead]
+            g = gcd(a, b)
+            sv, sr = b // g, a // g
+            if sv != 1:
+                v = {c: val * sv for c, val in v.items()}
+            for c, val in row.items():
+                nv = v.get(c, 0) - sr * val
+                if p:
+                    nv %= p
+                if nv:
+                    v[c] = nv
+                else:
+                    v.pop(c, None)
+            if not p:
                 g = 0
                 for val in v.values():
                     g = gcd(g, val)
@@ -81,26 +87,14 @@ class EchelonSpan:
                         break
                 if g > 1:
                     v = {c: val // g for c, val in v.items()}
-            if v and v[lead] < 0:
-                v = {c: -val for c, val in v.items()}
-            return v
-        v = {c: val % p for c, val in vec.items() if val % p}
-        while v:
-            lead = min(v)
-            row = self.rows.get(lead)
-            if row is None:
-                break
-            a = v[lead]
-            for c, val in row.items():
-                nv = (v.get(c, 0) - a * val) % p
-                if nv:
-                    v[c] = nv
-                else:
-                    v.pop(c, None)
         if not v:
             return {}
-        inv = self.field.inv(v[min(v)])
-        return {c: (val * inv) % p for c, val in v.items()}
+        if p:
+            inv = self.field.inv(v[lead])
+            return {c: val * inv % p for c, val in v.items()}
+        if v[lead] < 0:
+            v = {c: -val for c, val in v.items()}
+        return v
 
     def add(self, vec: dict) -> dict:
         """Insert vec; the stored residual, or {} if vec was already spanned."""

@@ -326,18 +326,15 @@ class PolyRing:
 class Poly:
     """A sparse polynomial: a map from exponent tuples to nonzero coefficients.
 
-    Immutable by convention: the leading monomial is found on first use and
-    kept, as is the reducer form division uses (groebner._reducer), so
-    nothing may write to terms after construction.
+    Immutable by convention, and a plain value: it keeps nothing derived
+    from its terms. Division state lives with the GroebnerBasis that owns it.
     """
 
-    __slots__ = ("ring", "terms", "_lead", "_red")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = {m: c for m, c in terms.items() if c}
-        self._lead = None
-        self._red = None
 
     @property
     def is_zero(self) -> bool:
@@ -436,12 +433,9 @@ class Poly:
         return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=reverse)
 
     def leading_monomial(self):
-        lm = self._lead
-        if lm is None:
-            if not self.terms:
-                raise AlgebraError("zero polynomial has no leading term")
-            lm = self._lead = max(self.terms, key=self.ring.order.key)
-        return lm
+        if not self.terms:
+            raise AlgebraError("zero polynomial has no leading term")
+        return max(self.terms, key=self.ring.order.key)
 
     def homogeneous_degree(self):
         """The common weighted degree of all terms.
@@ -495,9 +489,18 @@ def ideal_key(gens):
     return tuple(sorted(g.canonical_key() for g in gens))
 
 
-def homogeneous_gens(gens) -> tuple:
-    """The nonzero generators among gens; raises HomogeneityError on one
+def _check_members(ambient: PolyRing, gens) -> None:
+    for g in gens:
+        if not isinstance(g, Poly) or g.ring != ambient:
+            raise ValueError("generator does not live in the ambient ring")
+
+
+def homogeneous_gens(ring: "GradedRing", gens) -> tuple:
+    """The nonzero generators among gens; raises ValueError on one that is
+    not a polynomial of ring's ambient ring, and HomogeneityError on one
     that is not homogeneous."""
+    gens = tuple(gens)
+    _check_members(ring.ambient, gens)
     out = tuple(g for g in gens if not g.is_zero)
     for g in out:
         if not g.is_homogeneous():
@@ -565,9 +568,7 @@ class GradedRing:
         from .groebner import buchberger
 
         gens = tuple(gens)
-        for g in gens:
-            if not isinstance(g, Poly) or g.ring != self.ambient:
-                raise ValueError("generator does not live in the ambient ring")
+        _check_members(self.ambient, gens)
         return self.cached(
             ("groebner", ideal_key(gens)), lambda: buchberger(self.relations + gens, self.ambient)
         )

@@ -263,6 +263,12 @@ def test_run_paper_suite(capsys):
     assert "value = infinity" in out
 
 
+@pytest.mark.parametrize("field", ["fp:2", "fp:3"])
+def test_run_paper_suite_small_characteristic(field, capsys):
+    assert main(["--run-paper-suite", "--field", field]) == 0
+    assert "suite: 6 sessions, 0 check failures" in capsys.readouterr().out
+
+
 def test_run_paper_suite_leaves_no_module_state(capsys):
     import importlib
     import pkgutil

@@ -318,6 +318,23 @@ def test_reduce_against_matches_max_scan_oracle():
         nf = reduce_against(p, reducers)
         assert list(nf.terms.items()) == expected
         _assert_field_coefficients(nf)
+    # small characteristic: work entries leave [0, p) between pops, and
+    # coefficients such as 2 vanish over GF(2)
+    rng = random.Random(4076)
+    for trial in range(300):
+        nv = rng.randrange(2, 4)
+        r = PolyRing(
+            tuple(f"x{i}" for i in range(nv)),
+            tuple(rng.choice([1, 2, 3]) for _ in range(nv)),
+            field=PrimeField(rng.choice([2, 3, 5])),
+            order=rng.choice(["grevlex", "deglex"]),
+        )
+        p = _random_poly(rng, r, 7, rng.randrange(1, 9))
+        reducers = [_random_poly(rng, r, 4, rng.randrange(1, 4)) for _ in range(rng.randrange(1, 4))]
+        expected, _ = scan_reduce_against(p, reducers)
+        nf = reduce_against(p, reducers)
+        assert list(nf.terms.items()) == expected
+        _assert_field_coefficients(nf)
 
 
 def test_s_polynomial_matches_multiply_oracle():
@@ -403,3 +420,16 @@ def test_buchberger_matches_sympy_groebner():
         for g in gb:
             assert g.terms[g.leading_monomial()] == 1
             _assert_field_coefficients(g)
+    # small characteristic
+    rng = random.Random(4077)
+    for trial in range(60):
+        nv = rng.randrange(2, 5)
+        field = PrimeField(rng.choice([2, 3, 5]))
+        order = rng.choice(["grevlex", "deglex"])
+        r = PolyRing(tuple(f"x{i}" for i in range(nv)), field=field, order=order)
+        gens = [
+            random_homogeneous_poly(rng, r, rng.randrange(1, 4)) for _ in range(rng.randrange(1, 4))
+        ]
+        gens = [g for g in gens if g is not None]
+        if gens:
+            _assert_matches_sympy(gens, r, sympy)

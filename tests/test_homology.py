@@ -204,6 +204,28 @@ def test_negative_window_is_rejected(window):
         window(R, I, J)
 
 
+@pytest.mark.parametrize(
+    "foreign",
+    [
+        pytest.param(PolyRing(("x", "y", "z"), field=field_from_name("fp:7")), id="gf7"),
+        pytest.param(PolyRing(("x", "y", "z"), order="deglex"), id="deglex"),
+    ],
+)
+def test_generators_from_another_ring_are_rejected(foreign):
+    # the same variable names, so only the ring check can tell them apart
+    ring = PolyRing(("x", "y", "z"))
+    R = GradedRing(ring, ())
+    x = ring.gen(0)
+    u, v, w = foreign.gens()
+    for I in ([u - v], [u * u + v * w]):
+        with pytest.raises(ValueError, match="does not live in the ambient ring"):
+            truncated_resolution(R, I, 2, 5)
+        with pytest.raises(ValueError, match="does not live in the ambient ring"):
+            tor_table(R, I, [x], 2, 5)
+        with pytest.raises(ValueError, match="does not live in the ambient ring"):
+            tor_table(R, [x], I, 2, 5)
+
+
 def test_transverse_koszul_naive():
     ring = PolyRing(("x", "y"))
     R = GradedRing(ring, ())

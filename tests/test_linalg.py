@@ -12,7 +12,14 @@ from oracles import StepwiseQQSpan, dense_rank, stepwise_qq_kernel
 
 P = 32003
 GF = field_from_name(f"fp:{P}")
-FIELDS = [pytest.param(QQ, id="qq"), pytest.param(GF, id="gf32003")]
+FIELDS = [
+    pytest.param(QQ, id="qq"),
+    pytest.param(GF, id="gf32003"),
+    # at small p a missing reduction mod p or a wrong zero test shows at once
+    pytest.param(field_from_name("fp:2"), id="gf2"),
+    pytest.param(field_from_name("fp:3"), id="gf3"),
+]
+PRIME_FIELDS = [f for f in FIELDS if f.values[0].p]
 
 
 def random_coeff(rng, field):
@@ -87,6 +94,29 @@ def test_random_rank_and_kernel_against_dense_oracle(field, seed):
         assert canonical_lead(vec, field)
     rows = [[vec.get(j, 0) for j in range(ncols)] for vec in kernel]
     assert dense_rank(rows, field.p) == len(kernel)
+
+
+@pytest.mark.parametrize("field", PRIME_FIELDS)
+@pytest.mark.parametrize("seed", range(20))
+def test_unreduced_entries_give_the_reduced_rank_and_kernel(field, seed):
+    # entries shifted by multiples of p, negative ones among them, and
+    # nonzero multiples of p in extra rows: the span reduces mod p itself
+    rng = random.Random(300 + seed)
+    p = field.p
+    nrows, ncols = rng.randint(1, 8), rng.randint(1, 10)
+    cols = random_columns(rng, field, nrows, ncols)
+    shifted = []
+    for col in cols:
+        col = {r: v + p * rng.randint(-3, 3) for r, v in col.items()}
+        for r in rng.sample(range(nrows, nrows + 3), rng.randint(0, 2)):
+            col[r] = p * rng.choice([-2, -1, 1, 2])
+        shifted.append({r: v for r, v in col.items() if v})
+    assert any(v < 0 or v >= p for col in shifted for v in col.values())
+    assert rank_of_vectors(shifted, field) == rank_of_vectors(cols, field)
+    assert kernel_of_columns(shifted, ncols, field) == kernel_of_columns(cols, ncols, field)
+    span, ref = EchelonSpan(field), EchelonSpan(field)
+    for col, reduced in zip(shifted, cols):
+        assert span.add(col) == ref.add(reduced)
 
 
 @pytest.mark.parametrize("field", FIELDS)
