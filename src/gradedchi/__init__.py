@@ -40,7 +40,6 @@ from .groebner import (
     MonomialIdeal,
     buchberger,
     leading_ideal,
-    normal_form,
     reduce_against,
     standard_monomials,
 )
@@ -119,7 +118,6 @@ __all__ = [
     "hilbert_series",
     "leading_ideal",
     "naive_series",
-    "normal_form",
     "one_minus_t_valuation",
     "parse_polynomial",
     "parse_rational_function",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import AlgebraError
 
@@ -79,12 +79,9 @@ class IntPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = IntPoly((other,))
-        if not isinstance(other, IntPoly):
+        if not isinstance(other, (int, IntPoly)):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly(tuple(self.coeff(k) - other.coeff(k) for k in range(n)))
+        return self + -other
 
     def __rsub__(self, other):
         return (-self) + other
@@ -135,12 +132,11 @@ ZERO = IntPoly()
 ONE = IntPoly((1,))
 
 
-def format_t_poly(p: IntPoly, var: str = "t") -> str:
-    """Canonical ascending-degree string, explicit '*', reparseable."""
-    if p.is_zero:
-        return "0"
+def format_t_coeffs(coeffs, var: str = "t") -> str:
+    """Ascending-degree text of exact coefficients (ints or Fractions),
+    explicit '*', reparseable; "0" when every coefficient is zero."""
     parts = []
-    for k, c in enumerate(p.coeffs):
+    for k, c in enumerate(coeffs):
         if c == 0:
             continue
         mag = abs(c)
@@ -153,7 +149,48 @@ def format_t_poly(p: IntPoly, var: str = "t") -> str:
             parts.append(body if c > 0 else f"-{body}")
         else:
             parts.append(f"{'+' if c > 0 else '-'} {body}")
-    return " ".join(parts)
+    return " ".join(parts) if parts else "0"
+
+
+def format_t_poly(p: IntPoly, var: str = "t") -> str:
+    """Canonical ascending-degree string, explicit '*', reparseable."""
+    return format_t_coeffs(p.coeffs, var)
+
+
+def _divmod(a, b) -> tuple[list[int], list[int], int]:
+    """Fraction-free division of integer coefficient lists (low degree first,
+    no trailing zeros, b nonzero): (q, r, s) with s*a = q*b + r, deg r < deg b.
+
+    A step with leading coefficient c scales the working remainder, q and s
+    by lc(b) / g and subtracts (c / g) * t^k * b, where g = gcd(c, lc(b))
+    takes the sign of lc(b); the step of groebner._divide. So s > 0, and
+    s == 1 with r == [] exactly when b divides a over Z.
+    """
+    r = list(a)
+    n = len(b) - 1
+    lb = b[-1]
+    q = [0] * max(len(r) - n, 0)
+    s = 1
+    while len(r) > n:
+        k = len(r) - 1 - n
+        g = gcd(r[-1], lb) if lb > 0 else -gcd(r[-1], lb)
+        e, m = r[-1] // g, lb // g
+        if m != 1:
+            s *= m
+            q = [x * m for x in q]
+            r = [x * m for x in r]
+        q[k] = e
+        for i, bc in enumerate(b):
+            r[k + i] -= e * bc
+        while r and r[-1] == 0:
+            r.pop()
+    return q, r, s
+
+
+def _primitive(cs):
+    """cs divided by its content, with a positive leading coefficient."""
+    g = -gcd(*cs) if cs and cs[-1] < 0 else gcd(*cs)
+    return [c // g for c in cs] if g else cs
 
 
 def one_minus_t_valuation(p: IntPoly) -> tuple[int, IntPoly]:
@@ -163,85 +200,31 @@ def one_minus_t_valuation(p: IntPoly) -> tuple[int, IntPoly]:
     """
     if p.is_zero:
         raise AlgebraError("zero polynomial has no valuation")
+    cs = p.coeffs
     k = 0
-    while p(1) == 0:
-        # p = (1-t) q with q_i the prefix sums of p's coefficients
-        acc = 0
-        q = []
-        for c in p.coeffs[:-1]:
-            acc += c
-            q.append(acc)
-        p = IntPoly(q)
+    while sum(cs) == 0:  # p(1) == 0, so 1 - t divides p; lc -1 keeps s == 1
+        cs = _divmod(cs, (1, -1))[0]
         k += 1
-    return k, p
-
-
-def _frac_poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = list(a)
-    while len(a) >= len(b):
-        c = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i, bc in enumerate(b):
-            a[shift + i] -= c * bc
-        while a and a[-1] == 0:
-            a.pop()
-        if not a:
-            break
-    return a
-
-
-def _primitive_from_fractions(cs: list[Fraction]) -> IntPoly:
-    den = 1
-    for c in cs:
-        den = lcm(den, c.denominator)
-    ints = [int(c * den) for c in cs]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    if g:
-        ints = [c // g for c in ints]
-    if ints and ints[-1] < 0:
-        ints = [-c for c in ints]
-    return IntPoly(ints)
+    return k, IntPoly(cs)
 
 
 def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     """gcd in Z[t], content included, normalized to a positive leading coefficient."""
-    if a.is_zero and b.is_zero:
-        return ZERO
-    if a.is_zero:
-        return b if b.coeffs[-1] > 0 else -b
-    if b.is_zero:
-        return a if a.coeffs[-1] > 0 else -a
     c = gcd(a.content(), b.content())
-    fa = [Fraction(x) for x in a.coeffs]
-    fb = [Fraction(x) for x in b.coeffs]
-    while fb:
-        fa, fb = fb, _frac_poly_mod(fa, fb)
-    return _primitive_from_fractions(fa) * c
+    pa, pb = _primitive(a.coeffs), _primitive(b.coeffs)
+    while pb:
+        pa, pb = pb, _primitive(_divmod(pa, pb)[1])
+    return IntPoly(pa) * c
 
 
 def poly_exact_div(a: IntPoly, b: IntPoly) -> IntPoly:
     """Quotient a / b when b divides a exactly over Z; raises otherwise."""
     if b.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
-    if a.is_zero:
-        return ZERO
-    if a.degree < b.degree:
+    q, r, s = _divmod(a.coeffs, b.coeffs)
+    if r or s != 1:
         raise AlgebraError("inexact polynomial division")
-    rem = [Fraction(c) for c in a.coeffs]
-    qdeg = a.degree - b.degree
-    q = [Fraction(0)] * (qdeg + 1)
-    blead = b.coeffs[-1]
-    for k in range(qdeg, -1, -1):
-        c = rem[k + b.degree] / blead
-        q[k] = c
-        if c:
-            for i, bc in enumerate(b.coeffs):
-                rem[k + i] -= c * bc
-    if any(rem) or any(x.denominator != 1 for x in q):
-        raise AlgebraError("inexact polynomial division")
-    return IntPoly(tuple(int(x) for x in q))
+    return IntPoly(q)
 
 
 class Infinity:

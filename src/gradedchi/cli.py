@@ -16,7 +16,7 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .arith import Infinity, IntPoly, format_t_poly, series_expand
+from .arith import Infinity, IntPoly, format_t_coeffs, format_t_poly, series_expand
 from .chi import chi_series, compute_chi, gulliksen_chi, qcartier_mult
 from .errors import AlgebraError, SessionError
 from .hilbert import dim_and_mult, hilbert_series
@@ -48,24 +48,7 @@ def fmt_q(v) -> str:
 
 def fmt_series(coeffs, order: int, var: str = "t") -> str:
     """Truncated power series with an explicit O(var^order) tail."""
-    parts = []
-    for k, c in enumerate(coeffs):
-        if not c:
-            continue
-        mag = fmt_q(abs(Fraction(c)))
-        if k == 0:
-            body = mag
-        else:
-            pw = var if k == 1 else f"{var}^{k}"
-            body = pw if mag == "1" else f"{mag}*{pw}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    if not parts:
-        parts.append("0")
-    parts.append(f"+ O({var}^{order})")
-    return " ".join(parts)
+    return f"{format_t_coeffs(coeffs, var)} + O({var}^{order})"
 
 
 def fmt_denominator(weights) -> str:
@@ -267,10 +250,9 @@ def _cmd_check(session: Session, cmd, opts: RunOptions):
     chi = chi_series(session.ring, session.ideals[iname], session.ideals[jname])
     tt = tor_table(session.ring, session.ideals[iname], session.ideals[jname], i_max=imax, d_max=dmax)
     k = tt.chi_complete_through
-    closed = [Fraction(c) for c in series_expand(chi, k)]
+    closed = series_expand(chi, k)
     trunc = chi_truncated(tt)
-    ok = closed == [Fraction(c) for c in trunc]
-    closed_ints = [int(c) for c in closed] if all(c.denominator == 1 for c in closed) else None
+    ok = closed == trunc
     data = {
         "command": "check",
         "M": iname,
@@ -284,8 +266,8 @@ def _cmd_check(session: Session, cmd, opts: RunOptions):
         "result": "PASS" if ok else "FAIL",
     }
     closed_txt = (
-        format_t_poly(IntPoly(closed_ints))
-        if closed_ints is not None
+        format_t_coeffs(closed)
+        if all(c.denominator == 1 for c in closed)
         else fmt_series(closed, k + 1)
     )
     lines = [

@@ -208,18 +208,6 @@ def reduce_against(p: Poly, reducers) -> Poly:
     return _scaled_poly(ring, *_divide(ring, work, scale, reds))
 
 
-def normal_form(p: Poly, gb) -> Poly:
-    """Normal form of p modulo a Groebner basis (k-linear and idempotent)."""
-    if isinstance(gb, GroebnerBasis):
-        ring = gb.ring
-    else:
-        gb = tuple(gb)
-        ring = gb[0].ring if gb else p.ring
-    if p.ring != ring:
-        raise ValueError("polynomial and basis belong to different rings")
-    return reduce_against(p, gb)
-
-
 def _s_terms(ring: PolyRing, rf, rg, big):
     """The S-polynomial of two reducer forms with leading-monomial lcm big,
     built from the shifted tails: (terms, scale), the true value being

@@ -172,6 +172,11 @@ class _Parser:
         t = self.peek()
         return t.kind == "SYM" and t.value == s
 
+    def expect_end(self, what: str):
+        t = self.peek()
+        if t.kind != "EOF":
+            raise SessionError(f"trailing input after {what}: {self._show(t)}", t.line, t.col)
+
     # -- declarations
 
     def parse(self) -> Session:
@@ -239,26 +244,9 @@ class _Parser:
         t = self.peek()
         if t.kind == "IDENT" and t.value == "relations":
             self.advance()
-            while True:
-                start = self.peek()
-                p = self.parse_poly()
-                if not p.is_zero:
-                    d = p.homogeneous_degree()
-                    if d is None:
-                        raise SessionError(
-                            f"relation {p} is not homogeneous", start.line, start.col
-                        )
-                    if d == 0:
-                        raise SessionError(
-                            f"relation {p} has degree 0; the degree-0 part must be the field",
-                            start.line,
-                            start.col,
-                        )
-                    relations.append(p)
-                if self.at_sym(","):
-                    self.advance()
-                    continue
-                break
+            relations = self.parse_forms(
+                "relation", "has degree 0; the degree-0 part must be the field"
+            )
             self.expect_sym(";")
         self.expect_sym("}")
         self.ring = GradedRing(self.ambient, relations)
@@ -271,26 +259,29 @@ class _Parser:
             raise SessionError(f"ideal {name!r} is already declared", name_tok.line, name_tok.col)
         self.expect_sym("=")
         self.expect_sym("(")
-        gens: list = []
+        gens = self.parse_forms("generator", "is a nonzero constant")
+        self.expect_sym(")")
+        self.expect_sym(";")
+        self.ideals[name] = tuple(gens)
+
+    def parse_forms(self, what: str, constant_msg: str) -> list:
+        """Comma-separated polynomials, zeros dropped. A form that is not
+        homogeneous raises "{what} {p} is not homogeneous"; one of degree 0
+        raises "{what} {p} {constant_msg}"."""
+        forms = []
         while True:
             start = self.peek()
             p = self.parse_poly()
             if not p.is_zero:
                 d = p.homogeneous_degree()
                 if d is None:
-                    raise SessionError(f"generator {p} is not homogeneous", start.line, start.col)
+                    raise SessionError(f"{what} {p} is not homogeneous", start.line, start.col)
                 if d == 0:
-                    raise SessionError(
-                        f"generator {p} is a nonzero constant", start.line, start.col
-                    )
-                gens.append(p)
-            if self.at_sym(","):
-                self.advance()
-                continue
-            break
-        self.expect_sym(")")
-        self.expect_sym(";")
-        self.ideals[name] = tuple(gens)
+                    raise SessionError(f"{what} {p} {constant_msg}", start.line, start.col)
+                forms.append(p)
+            if not self.at_sym(","):
+                return forms
+            self.advance()
 
     # -- commands
 
@@ -411,58 +402,52 @@ def parse_session(text: str, field=QQ) -> Session:
     return _Parser(tokenize(text), field).parse()
 
 
-def parse_polynomial(text: str, ring) -> Poly:
-    """Parse a standalone polynomial against a PolyRing or GradedRing."""
-    ambient = ring.ambient if isinstance(ring, GradedRing) else ring
+def _poly_parser(text: str, ambient: PolyRing) -> _Parser:
+    """A parser for polynomial expressions over ambient's variables."""
     p = _Parser(tokenize(text), ambient.field)
     p.ambient = ambient
     p.var_index = {nm: i for i, nm in enumerate(ambient.names)}
+    return p
+
+
+def parse_polynomial(text: str, ring) -> Poly:
+    """Parse a standalone polynomial against a PolyRing or GradedRing."""
+    p = _poly_parser(text, ring.ambient if isinstance(ring, GradedRing) else ring)
     poly = p.parse_sum()
-    t = p.peek()
-    if t.kind != "EOF":
-        raise SessionError(f"trailing input after polynomial: {p._show(t)}", t.line, t.col)
+    p.expect_end("polynomial")
     return poly
 
 
 _T_RING = PolyRing(("t",))
 
 
-def parse_t_polynomial(text: str) -> IntPoly:
-    """Parse a univariate integer polynomial in t (as printed by reports)."""
-    poly = parse_polynomial(text, _T_RING)
+def _int_t_poly(poly: Poly, scale: int = 1) -> IntPoly:
+    """scale * poly, a polynomial over QQ in t, as an IntPoly; raises if a
+    coefficient is not an integer."""
     coeffs = [0] * (max((m[0] for m in poly.terms), default=-1) + 1)
     for (k,), c in poly.terms.items():
+        c *= scale
         if c.denominator != 1:
             raise SessionError(f"coefficient {c} is not an integer")
         coeffs[k] = int(c)
     return IntPoly(coeffs)
 
 
+def parse_t_polynomial(text: str) -> IntPoly:
+    """Parse a univariate integer polynomial in t (as printed by reports)."""
+    return _int_t_poly(parse_polynomial(text, _T_RING))
+
+
 def parse_rational_function(text: str) -> RatFun:
     """Parse 'num / den' as printed by reports, normalizing the result."""
-    p = _Parser(tokenize(text), QQ)
-    p.ambient = _T_RING
-    p.var_index = {"t": 0}
+    p = _poly_parser(text, _T_RING)
     num = p.parse_sum()
     if p.at_sym("/"):
         p.advance()
         den = p.parse_factor()
     else:
         den = _T_RING.one()
-    t = p.peek()
-    if t.kind != "EOF":
-        raise SessionError(f"trailing input after rational function: {p._show(t)}", t.line, t.col)
-
+    p.expect_end("rational function")
     # fractional coefficients are fine here: scale both sides integral
-    scale = 1
-    for q in (num, den):
-        for c in q.terms.values():
-            scale = lcm(scale, Fraction(c).denominator)
-
-    def to_int_poly(q: Poly) -> IntPoly:
-        coeffs = [0] * (max((m[0] for m in q.terms), default=-1) + 1)
-        for (k,), c in q.terms.items():
-            coeffs[k] = int(c * scale)
-        return IntPoly(coeffs)
-
-    return ratfun_normalize(to_int_poly(num), to_int_poly(den))
+    scale = lcm(*(c.denominator for q in (num, den) for c in q.terms.values()))
+    return ratfun_normalize(_int_t_poly(num, scale), _int_t_poly(den, scale))

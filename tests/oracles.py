@@ -7,7 +7,9 @@ sparse routines at the end are frozen copies of older library code: one
 reducer rescales after every elimination step, the other finds each
 polynomial's leading monomial by rescanning for the maximum, and the
 S-polynomial is built from generic polynomial products. Each is kept as the
-reference for the faster one.
+reference for the faster one. The Z[t] routines are the Fraction-based
+gcd, exact division and (1 - t)-valuation that arith's fraction-free
+division replaced.
 """
 
 from fractions import Fraction
@@ -321,6 +323,110 @@ def mul_s_polynomial(f, g):
     mf = type(f)(ring, {tuple(a - b for a, b in zip(big, lmf)): field.inv(f.terms[lmf])})
     mg = type(f)(ring, {tuple(a - b for a, b in zip(big, lmg)): field.inv(g.terms[lmg])})
     return mf * f - mg * g
+
+
+# ---------------------------------------------------------------------------
+# Z[t] gcd, exact division and (1 - t)-valuation over Fraction coefficients
+#
+# Polynomials are coefficient tuples, low degree first, no trailing zeros.
+
+
+def _frac_poly_mod(a, b):
+    a = list(a)
+    while len(a) >= len(b):
+        c = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        for i, bc in enumerate(b):
+            a[shift + i] -= c * bc
+        while a and a[-1] == 0:
+            a.pop()
+        if not a:
+            break
+    return a
+
+
+def _primitive_from_fractions(cs):
+    den = 1
+    for c in cs:
+        den = lcm(den, c.denominator)
+    ints = [int(c * den) for c in cs]
+    g = 0
+    for c in ints:
+        g = gcd(g, c)
+    if g:
+        ints = [c // g for c in ints]
+    if ints and ints[-1] < 0:
+        ints = [-c for c in ints]
+    return tuple(ints)
+
+
+def _content(cs):
+    g = 0
+    for c in cs:
+        g = gcd(g, c)
+    return g
+
+
+def fraction_poly_gcd(a, b):
+    """gcd in Z[t] by the Euclidean algorithm over QQ, then made primitive
+    with a positive lead and multiplied by the gcd of the contents."""
+    if not a and not b:
+        return ()
+    if not a:
+        return b if b[-1] > 0 else tuple(-c for c in b)
+    if not b:
+        return a if a[-1] > 0 else tuple(-c for c in a)
+    c = gcd(_content(a), _content(b))
+    fa = [Fraction(x) for x in a]
+    fb = [Fraction(x) for x in b]
+    while fb:
+        fa, fb = fb, _frac_poly_mod(fa, fb)
+    return tuple(x * c for x in _primitive_from_fractions(fa))
+
+
+def fraction_poly_exact_div(a, b):
+    """a / b by long division over QQ; raises unless the quotient is in Z[t]
+    with no remainder."""
+    from gradedchi.errors import AlgebraError  # perfbench/run.py imports oracles without src/
+
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    if not a:
+        return ()
+    if len(a) < len(b):
+        raise AlgebraError("inexact polynomial division")
+    rem = [Fraction(c) for c in a]
+    bdeg = len(b) - 1
+    qdeg = len(a) - len(b)
+    q = [Fraction(0)] * (qdeg + 1)
+    for k in range(qdeg, -1, -1):
+        c = rem[k + bdeg] / b[-1]
+        q[k] = c
+        if c:
+            for i, bc in enumerate(b):
+                rem[k + i] -= c * bc
+    if any(rem) or any(x.denominator != 1 for x in q):
+        raise AlgebraError("inexact polynomial division")
+    return tuple(int(x) for x in q)
+
+
+def prefix_sum_valuation(p):
+    """(k, q) with p = (1 - t)^k q and q(1) != 0: while p(1) = 0, p becomes
+    the prefix sums of its coefficients, which is p / (1 - t)."""
+    from gradedchi.errors import AlgebraError
+
+    if not p:
+        raise AlgebraError("zero polynomial has no valuation")
+    k = 0
+    while sum(p) == 0:
+        acc = 0
+        q = []
+        for c in p[:-1]:
+            acc += c
+            q.append(acc)
+        p = tuple(q)
+        k += 1
+    return k, p
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import gradedchi.arith
 from gradedchi.arith import (
     INFINITY,
     ONE,
@@ -21,6 +22,7 @@ from gradedchi.arith import (
     ratfun_normalize,
     series_expand,
 )
+from oracles import fraction_poly_exact_div, fraction_poly_gcd, prefix_sum_valuation
 
 
 def test_intpoly_normalizes_trailing_zeros():
@@ -99,6 +101,81 @@ def test_poly_gcd_and_exact_div():
     assert poly_exact_div(num, g) is not None
     with pytest.raises(AlgebraError, match="inexact polynomial division"):
         poly_exact_div(IntPoly((1, 1)), IntPoly((1, -1)))
+
+
+def _outcome(fn, *args):
+    """fn's result with IntPolys as coefficient tuples, or the type and
+    message of what it raised."""
+    try:
+        r = fn(*args)
+    except (AlgebraError, ZeroDivisionError) as e:
+        return type(e), str(e)
+    return r.coeffs if isinstance(r, IntPoly) else r
+
+
+def test_z_t_core_matches_fraction_oracles_randomized():
+    # gcd, exact division and the (1 - t)-valuation against the Fraction
+    # routines they replaced: same results, same exception type and message
+    rng = random.Random(9137)
+    one_minus_t = IntPoly((1, -1))
+    seen = dict.fromkeys(("zero", "negative lead", "shared", "exact", "inexact", "non-integral"), 0)
+
+    def rand_poly(maxlen):
+        return IntPoly([rng.randrange(-6, 7) for _ in range(rng.randrange(0, maxlen + 1))])
+
+    def lib_valuation(p):
+        k, q = one_minus_t_valuation(p)
+        return k, q.coeffs
+
+    for _ in range(1500):
+        shared = rand_poly(3) * rng.choice((1, 1, 2, -3, 6)) * one_minus_t ** rng.randrange(0, 3)
+        a, b = rand_poly(4), rand_poly(4)
+        if rng.random() < 0.5:
+            a, b = a * shared, b * shared
+            seen["shared"] += shared.degree > 0 or abs(shared.content()) > 1
+        seen["zero"] += a.is_zero or b.is_zero
+        seen["negative lead"] += (a.degree >= 0 and a.coeffs[-1] < 0) + (b.degree >= 0 and b.coeffs[-1] < 0)
+        k = rng.choice((2, 3, -2))
+        cases = [
+            (a, b),  # mostly inexact
+            (a * b, b),  # exact
+            (a * b, b * k),  # non-integral unless k divides a's content
+        ]
+        for i, (x, y) in enumerate(cases):
+            want = _outcome(fraction_poly_exact_div, x.coeffs, y.coeffs)
+            assert _outcome(poly_exact_div, x, y) == want, (x, y)
+            if want[:1] == (AlgebraError,):
+                seen["non-integral" if i == 2 else "inexact"] += 1
+            elif i == 1 and not x.is_zero:
+                seen["exact"] += 1
+        for x, y in ((a, b), (b, a), (a * b, a)):
+            assert _outcome(poly_gcd, x, y) == fraction_poly_gcd(x.coeffs, y.coeffs), (x, y)
+        for x in (a, a * one_minus_t ** rng.randrange(1, 4)):
+            assert _outcome(lib_valuation, x) == _outcome(prefix_sum_valuation, x.coeffs), x
+        n = max(len(a.coeffs), len(b.coeffs))
+        assert (a - b) == IntPoly([a.coeff(i) - b.coeff(i) for i in range(n)])
+        assert a - k == IntPoly([a.coeff(0) - k, *a.coeffs[1:]])
+    assert all(seen.values()), seen
+
+
+def test_z_t_core_makes_no_fraction(monkeypatch):
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was made")
+
+    monkeypatch.setattr(gradedchi.arith, "Fraction", no_fraction)
+    u = IntPoly((2, -1, 3))
+    a = IntPoly((1, -1)) ** 3 * u * 4
+    b = IntPoly((1, -1)) * u * IntPoly((-5, 0, 7)) * 6
+    assert poly_gcd(a, b) == IntPoly((-1, 1)) * u * 2
+    assert poly_gcd(ZERO, b) == -b
+    assert poly_exact_div(a, u) == IntPoly((1, -1)) ** 3 * 4
+    with pytest.raises(AlgebraError, match="inexact polynomial division"):
+        poly_exact_div(a, u * 8)  # integral over QQ only
+    with pytest.raises(AlgebraError, match="inexact polynomial division"):
+        poly_exact_div(a, IntPoly((1, 1)))
+    assert one_minus_t_valuation(a) == (3, u * 4)
+    r = ratfun_normalize(a, b)
+    assert r.num == IntPoly((1, -1)) ** 2 * -2 and r.den == IntPoly((-5, 0, 7)) * -3
 
 
 def test_ratfun_normalize_invariants():

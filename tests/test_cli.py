@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from gradedchi import cli
-from gradedchi.cli import Report, RunOptions, bundled_sessions, main, run
+from gradedchi.cli import Report, RunOptions, bundled_sessions, fmt_series, main, run
 from gradedchi.session import parse_session
 
 CONIC = """\
@@ -27,6 +28,24 @@ ideal I = (x + y, z);
 ideal J = (y, x + z);
 check I J --imax 4 --dmax 8;
 """
+
+
+@pytest.mark.parametrize(
+    "coeffs, order, var, text",
+    [
+        ([Fraction(1, 2), 0, -1, Fraction(-3, 2)], 5, "t", "1/2 - t^2 - 3/2*t^3 + O(t^5)"),
+        ([], 0, "t", "0 + O(t^0)"),
+        ([0, 0], 2, "t", "0 + O(t^2)"),
+        ([-1, 1, Fraction(-1), Fraction(7, 3)], 4, "T", "-1 + T - T^2 + 7/3*T^3 + O(T^4)"),
+        ([0, Fraction(-1, 3), 2], 3, "t", "-1/3*t + 2*t^2 + O(t^3)"),
+        ([3, -2, 1], 3, "t", "3 - 2*t + t^2 + O(t^3)"),
+        ([Fraction(4, 2), 0, Fraction(-1, 1)], 6, "t", "2 - t^2 + O(t^6)"),
+        ([Fraction(5, 7)], 1, "T", "5/7 + O(T^1)"),
+    ],
+)
+def test_fmt_series_golden(coeffs, order, var, text):
+    # the bundled chi series are all integral, so fractions show only here
+    assert fmt_series(coeffs, order, var=var) == text
 
 
 def test_run_report_sections():
