@@ -11,6 +11,20 @@ generators: only there is a kernel computed (La Scala and Stillman, JSC
 1998). Tensoring the truncated resolution with R/J and taking ranks gives
 the graded Tor table, which cross-checks the closed-form chi.
 
+A step's product columns u * g come in order of g, then of u ascending in
+the monomial order, and a column spanned by the ones before it is never
+built: the syzygy criterion of F5 (Faugere, ISSAC 2002) in this
+degree-major frame. If u' * g = sum c (v * h) over earlier columns, then
+x * u' * g = sum c (x * v * h); normal-form terms of x * v are at most
+x * v < x * u' (or h < g), so they are earlier columns too; and standard
+monomials are closed under division, so every multiple of u' is reached
+one variable at a time. Skipping such columns leaves the rank, the stored
+span rows and every residual unchanged. At a generator cell the kernel is
+taken over the built columns only: a skipped column's kernel vector is x
+times a lower-degree one, up to kernel vectors of earlier columns, so the
+products of earlier generators and the vectors tested before it span it,
+and the minimal-generator test would reject it.
+
 The inner loop runs on coordinate data, not polynomials. A GradedBasis
 keeps one normal-form table, monomial -> (monomial, coefficient) pairs.
 While a resolution is built, each generator's image is a tuple of
@@ -30,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import AlgebraError
 from .groebner import GroebnerBasis, reduce_against, standard_monomials
@@ -48,7 +63,7 @@ class GradedBasis:
     memoises one instance per ideal (see _graded_basis).
     """
 
-    __slots__ = ("gb", "ring", "_basis", "_index", "_nf")
+    __slots__ = ("gb", "ring", "_basis", "_index", "_nf", "_up")
 
     def __init__(self, gb: GroebnerBasis):
         self.gb = gb
@@ -56,6 +71,7 @@ class GradedBasis:
         self._basis: dict = {}
         self._index: dict = {}
         self._nf: dict = {}
+        self._up: dict = {}
 
     def basis(self, j: int):
         if j < 0:
@@ -85,6 +101,31 @@ class GradedBasis:
             t = tuple((m2, _int_if_integral(c)) for m2, c in p.terms.items())
             self._nf[m] = t
         return t
+
+    def _multiples(self, marked, e: int) -> int:
+        """Bit mask over basis(e) of the products x * m, for each (w, mask) in
+        marked, each variable x of weight w and each monomial m of degree
+        e - w whose bit is set in mask. Standard monomials are closed under
+        division, so every standard such product is found from basis(e): per
+        degree e, up[w][p] masks the products of the p-th monomial of degree
+        e - w with the variables of weight w."""
+        up = self._up.get(e)
+        if up is None:
+            weights = self.ring.weights
+            up = self._up[e] = {w: [0] * self.dim(e - w) for w in weights}
+            for q, m in enumerate(self.basis(e)):
+                for k, a in enumerate(m):
+                    if a:
+                        w = weights[k]
+                        up[w][self.index(e - w)[m[:k] + (a - 1,) + m[k + 1 :]]] |= 1 << q
+        out = 0
+        for w, mask in marked:
+            steps = up[w]
+            while mask:
+                low = mask & -mask
+                out |= steps[low.bit_length() - 1]
+                mask ^= low
+        return out
 
     def multiply_nf(self, u, p: Poly) -> Poly:
         """Normal form of (monomial u) * p; p need not be reduced."""
@@ -135,28 +176,27 @@ class TruncatedResolution:
     images: tuple
 
 
-def _image_columns(rb: GradedBasis, src_degs, elems, tgt_degs, j: int) -> list:
+def _image_columns(rb: GradedBasis, elems, pairs, tgt_degs, j: int) -> list:
     """Coordinate vectors, in the degree-j piece of the free module with
-    generator degrees tgt_degs, of u * elems[g] for each g in order and each
-    basis monomial u of degree j - src_degs[g]. An element is a sequence of
-    (component, monomial, coefficient) terms; products of coefficients are
-    summed as plain numbers and only exact zeros are dropped: over GF(p) the
-    spans that read the columns take their entries mod p."""
+    generator degrees tgt_degs, of u * elems[g] for each (g, u) in pairs, in
+    order. An element is a sequence of (component, monomial, coefficient)
+    terms; products of coefficients are summed as plain numbers and only
+    exact zeros are dropped: over GF(p) the spans that read the columns take
+    their entries mod p."""
     where, off = [], 0
     for d in tgt_degs:
         idx = rb.index(j - d)
         where.append((off, idx))
         off += len(idx)
     cols = []
-    for elem, d in zip(elems, src_degs):
-        for u in rb.basis(j - d):
-            col: dict = {}
-            for h, v, c in elem:
-                off, idx = where[h]
-                for m2, c2 in rb.nf_monomial(mono_mul(u, v)):
-                    k = off + idx[m2]
-                    col[k] = col.get(k, 0) + c * c2
-            cols.append({k: x for k, x in col.items() if x})
+    for g, u in pairs:
+        col: dict = {}
+        for h, v, c in elems[g]:
+            off, idx = where[h]
+            for m2, c2 in rb.nf_monomial(mono_mul(u, v)):
+                k = off + idx[m2]
+                col[k] = col.get(k, 0) + c * c2
+        cols.append({k: x for k, x in col.items() if x})
     return cols
 
 
@@ -182,18 +222,24 @@ def _resolve(ring: GradedRing, gens, i_max: int, d_max: int) -> TruncatedResolut
     candidates.sort(key=lambda p: (p.homogeneous_degree(), p.canonical_key()))
 
     # At each (i, j), cols are the degree-j products of F_i's earlier
-    # generators. Added to a fresh span, they give the minimal-generator span,
-    # and its row count is their rank r_i. For i >= 2 they lie in ker d_{i-1},
-    # of dimension n_{i-1} - r_{i-1} (n_{i-1}: step i-1's column count), so
-    # the difference counts the new generators at (i, j). Only then is that
-    # kernel computed, and its vectors are tested in canonical order. A
-    # generator accepted at degree j is independent of cols, so its own
-    # column adds no kernel vector. Generators arrive in ascending degree, so
-    # offsets over the partial degree lists are final for every degree <= j.
-    # images[i] keeps each generator's image as (component, monomial,
-    # coefficient) terms.
+    # generators, less those known to be spanned by the ones before them.
+    # Added to a fresh span, they give the minimal-generator span, and its
+    # row count is their rank r_i. For i >= 2 they lie in ker d_{i-1}, of
+    # dimension n_{i-1} - r_{i-1} (n_{i-1}: step i-1's full column count,
+    # skipped columns included), so the difference counts the new generators
+    # at (i, j). Only then is that kernel computed, over the kept columns,
+    # and its vectors, mapped back to full positions through kept, are tested
+    # in canonical order. A generator accepted at degree j is independent of
+    # cols, so its own column adds no kernel vector. Generators arrive in
+    # ascending degree, so offsets over the partial degree lists are final
+    # for every degree <= j. images[i] keeps each generator's image as
+    # (component, monomial, coefficient) terms. dead[i][j] holds, per
+    # generator g of F_i at (i, j), the bit mask over rb.basis(j - d_g) of
+    # the u whose column was skipped or reduced to zero there.
     degrees = [[0]] + [[] for _ in range(i_max)]
     images = [[] for _ in range(i_max + 1)]
+    dead = [{} for _ in range(i_max + 1)]
+    weights = sorted(set(ring.weights))
     start = candidates[0].homogeneous_degree() if candidates else d_max + 1
     for j in range(start, d_max + 1):
         idx = rb.index(j)
@@ -206,14 +252,36 @@ def _resolve(ring: GradedRing, gens, i_max: int, d_max: int) -> TruncatedResolut
         # degree-j products, which step i + 1 needs, when F_{i-1} has none
         for i in range(1, i_max + 1):
             prev_degs = degrees[i - 1]
-            cols = _image_columns(rb, degrees[i], images[i], prev_degs, j)
+            below = [(w, dead[i].get(j - w, ())) for w in weights]
+            dead[i].pop(j - weights[-1], None)  # no later degree steps down to it
+            masks, offs, pairs, kept, n = [], [], [], [], 0
+            for g, d in enumerate(degrees[i]):
+                e = j - d
+                basis = rb.basis(e)
+                marked = [(w, m[g]) for w, m in below if g < len(m) and m[g]]
+                skip = rb._multiples(marked, e) if marked else 0
+                if skip:
+                    for q, u in enumerate(basis):
+                        if not skip >> q & 1:
+                            pairs.append((g, u))
+                            kept.append(n + q)
+                else:
+                    pairs += [(g, u) for u in basis]
+                    kept += range(n, n + len(basis))
+                masks.append(skip)
+                offs.append(n)
+                n += len(basis)
+            cols = _image_columns(rb, images[i], pairs, prev_degs, j)
             span = EchelonSpan(field)
-            for col in cols:
-                span.add(col)
+            for (g, _), k, col in zip(pairs, kept, cols):
+                if not span.add(col):
+                    masks[g] |= 1 << (k - offs[g])
+            dead[i][j] = masks
             rank = len(span.rows)
             if i > 1:
-                new = len(prev_cols) - prev_rank - rank
-                piece = kernel_of_columns(prev_cols, len(prev_cols), field) if new > 0 else []
+                new = prev_n - prev_rank - rank
+                kernel = kernel_of_columns(prev_cols, len(prev_cols), field) if new > 0 else []
+                piece = [{prev_kept[k]: c for k, c in vec.items()} for vec in kernel]
             if piece:
                 # position -> (component, monomial) in the degree-j piece of F_{i-1}
                 slots = [(h, m) for h, d in enumerate(prev_degs) for m in rb.basis(j - d)]
@@ -222,7 +290,7 @@ def _resolve(ring: GradedRing, gens, i_max: int, d_max: int) -> TruncatedResolut
                     if r:
                         degrees[i].append(j)
                         images[i].append(tuple((*slots[k], c) for k, c in sorted(r.items())))
-            prev_cols, prev_rank = cols, rank
+            prev_cols, prev_rank, prev_n, prev_kept = cols, rank, n, kept
 
     return TruncatedResolution(
         ring, gens, i_max, d_max, tuple(map(tuple, degrees)), tuple(map(tuple, images))
@@ -237,10 +305,11 @@ def _resolve(ring: GradedRing, gens, i_max: int, d_max: int) -> TruncatedResolut
 class TorTable:
     """Graded Tor dimensions dim_k Tor_i(R/I, R/J)_j for i <= i_max, j <= d_max.
 
-    All stored entries are exact. chi_complete_through is the largest degree
-    whose alternating-sum coefficient is certified complete: below the
-    smallest generator degree of F_{i_max+1}, no homological degree beyond
-    i_max can contribute.
+    All stored entries are exact; entries is read-only, since the ring's
+    memo hands the same table to every caller. chi_complete_through is the
+    largest degree whose alternating-sum coefficient is certified complete:
+    below the smallest generator degree of F_{i_max+1}, no homological
+    degree beyond i_max can contribute.
     """
 
     i_max: int
@@ -264,10 +333,19 @@ class TorTable:
 
 def tor_table(ring: GradedRing, I, J, i_max: int = 8, d_max: int = 16) -> TorTable:
     """Graded Tor table of (R/I, R/J), by tensoring the truncated minimal
-    resolution of R/I with R/J and taking ranks per graded piece."""
+    resolution of R/I with R/J and taking ranks per graded piece; memoised
+    on the ring, so a `check` after a `tor` on the same window reuses it."""
     if i_max < 0 or d_max < 0:
         raise AlgebraError("imax and dmax must be nonnegative")
     J = _validated_gens(ring, J)
+    I = _validated_gens(ring, I)
+    return ring.cached(
+        ("tor", ideal_key(I), ideal_key(J), i_max, d_max),
+        lambda: _tor_table(ring, I, J, i_max, d_max),
+    )
+
+
+def _tor_table(ring: GradedRing, I, J, i_max: int, d_max: int) -> TorTable:
     res = truncated_resolution(ring, I, i_max + 1, d_max)
     nb = _graded_basis(ring, J)
     field = ring.field
@@ -279,7 +357,8 @@ def tor_table(ring: GradedRing, I, J, i_max: int = 8, d_max: int = 16) -> TorTab
             continue
         degs_prev = res.degrees[i - 1]
         for j in range(min(degs_i), d_max + 1):
-            r = rank_of_vectors(_image_columns(nb, degs_i, res.images[i], degs_prev, j), field)
+            pairs = [(g, u) for g, d in enumerate(degs_i) for u in nb.basis(j - d)]
+            r = rank_of_vectors(_image_columns(nb, res.images[i], pairs, degs_prev, j), field)
             if r:
                 ranks[(i, j)] = r
 
@@ -297,7 +376,7 @@ def tor_table(ring: GradedRing, I, J, i_max: int = 8, d_max: int = 16) -> TorTab
     return TorTable(
         i_max=i_max,
         d_max=d_max,
-        entries=entries,
+        entries=MappingProxyType(entries),
         chi_complete_through=bound,
         betti=res.degrees,
     )

@@ -25,18 +25,25 @@ from math import gcd, lcm
 
 
 def _primitive_int_row(row: dict) -> dict:
-    """Scale a QQ row (int or Fraction entries) to coprime integers with a
-    positive leading entry."""
-    den = lcm(*[v.denominator for v in row.values()])
-    ints = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
-    if not ints:
+    """A new dict: the QQ row (int or Fraction entries) scaled to coprime
+    integers with a positive leading entry, zero entries dropped. The
+    caller's dict is never returned, since reduce updates its row in place."""
+    try:
+        num = gcd(*row.values())  # every entry an int: one C-level gcd
+    except TypeError:  # a Fraction entry: clear denominators first
+        den = lcm(*[v.denominator for v in row.values()])
+        row = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+        num = gcd(*row.values())
+    if not num:
         return {}
-    num = gcd(*ints.values())
-    if ints[min(ints)] < 0:
+    lead = min(row)
+    if not row[lead]:
+        lead = min(c for c, v in row.items() if v)
+    if row[lead] < 0:
         num = -num
-    if num != 1:
-        ints = {c: v // num for c, v in ints.items()}
-    return ints
+    if num == 1:
+        return {c: v for c, v in row.items() if v}
+    return {c: v // num for c, v in row.items() if v}
 
 
 class EchelonSpan:

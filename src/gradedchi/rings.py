@@ -513,8 +513,8 @@ class GradedRing:
 
     Relations must be homogeneous of positive weighted degree, so R_0 is the
     ground field. Everything derived from the ring (Groebner bases, graded
-    piece bases, resolutions) is memoised in its one memo, keyed by a
-    namespaced tuple, and freed with the ring.
+    piece bases, resolutions, Tor tables) is memoised in its one memo, keyed
+    by a namespaced tuple, and freed with the ring.
     """
 
     __slots__ = ("ambient", "relations", "_memo")

@@ -9,7 +9,11 @@ polynomial's leading monomial by rescanning for the maximum, and the
 S-polynomial is built from generic polynomial products. Each is kept as the
 reference for the faster one. The Z[t] routines are the Fraction-based
 gcd, exact division and (1 - t)-valuation that arith's fraction-free
-division replaced.
+division replaced. full_column_pass eliminates every product column of a
+resolution step, the reference for the columns the resolution skips.
+
+Nothing here imports gradedchi at module level: the benchmark harness
+imports this file without the library on its path.
 """
 
 from fractions import Fraction
@@ -443,3 +447,42 @@ def trial_division_is_prime(n):
             return False
         f += 1
     return True
+
+
+# ---------------------------------------------------------------------------
+# rank pass over every column
+
+
+def full_column_pass(cols, p=0, before=()):
+    """Reduce the rows of before, then each column of cols in order, against
+    everything inserted ahead of it: plain elimination on dict vectors with
+    Fraction entries (p = 0) or residues mod p, every column built and
+    reduced. Returns the rank that cols add to the span of before, and one
+    flag per column: True where it reduced to zero."""
+    rows = {}
+
+    def insert(vec):
+        v = {k: x % p for k, x in vec.items()} if p else {k: Fraction(x) for k, x in vec.items()}
+        v = {k: x for k, x in v.items() if x}
+        while v:
+            lead = min(v)
+            row = rows.get(lead)
+            if row is None:
+                inv = pow(v[lead], -1, p) if p else 1 / v[lead]
+                rows[lead] = {k: x * inv % p if p else x * inv for k, x in v.items()}
+                return True
+            f = v[lead]
+            for k, x in row.items():
+                y = v.get(k, 0) - f * x
+                if p:
+                    y %= p
+                if y:
+                    v[k] = y
+                else:
+                    v.pop(k, None)
+        return False
+
+    for r in before:
+        insert(r)
+    zero = [not insert(c) for c in cols]
+    return zero.count(False), zero

@@ -85,6 +85,32 @@ def test_check_report_pass():
     assert "check PASS" in text
 
 
+def test_check_after_tor_reuses_the_tor_table(monkeypatch):
+    """The ring memoises the Tor table per window, so a `check` after a `tor`
+    on the same window computes no rank, and both reports read as when each
+    command runs alone."""
+    from gradedchi import homology
+
+    calls = []
+    rank = homology.rank_of_vectors
+
+    def counted(*args):
+        calls.append(args)
+        return rank(*args)
+
+    monkeypatch.setattr(homology, "rank_of_vectors", counted)
+    tor_cmd = "tor I J --imax 4 --dmax 8;\n"
+    check_cmd = "check I J --imax 4 --dmax 8;\n"
+    prefix = CUBIC_CHECK.replace(check_cmd, "")
+    alone = [run(parse_session(prefix + tor_cmd)).sections[0]]
+    tor_ranks = len(calls)
+    alone.append(run(parse_session(prefix + check_cmd)).sections[0])
+    calls.clear()
+    both = run(parse_session(prefix + tor_cmd + check_cmd))
+    assert len(calls) == tor_ranks > 0
+    assert both.sections == alone
+
+
 def test_series_terms_option():
     report = run(parse_session(CONIC), RunOptions(series_terms=4))
     text = report.text()

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from gradedchi.linalg import EchelonSpan, kernel_of_columns, rank_of_vectors
+from gradedchi.linalg import EchelonSpan, _primitive_int_row, kernel_of_columns, rank_of_vectors
 from gradedchi.rings import QQ, field_from_name
 
 from oracles import StepwiseQQSpan, dense_rank, stepwise_qq_kernel
+from oracles import _primitive_int_row as reference_primitive_int_row
 
 P = 32003
 GF = field_from_name(f"fp:{P}")
@@ -223,3 +224,42 @@ def test_qq_kernel_matches_stepwise_oracle(seed):
     got = kernel_of_columns(cols, ncols, QQ)
     assert got == stepwise_qq_kernel(cols, ncols)
     assert all(int_entries(vec) for vec in got)
+
+
+def test_primitive_int_row_matches_oracle_randomized():
+    """The all-int fast path and the Fraction path scale as the reference
+    does, and neither hands back (or changes) the caller's dict."""
+    rng = random.Random(7419)
+    kinds = set()
+    for _ in range(3000):
+        width = rng.randint(1, 6)
+        factor = rng.choice([1, 1, -1, 2, -6, 15, Fraction(1, 2), Fraction(-4, 3)])
+        row = {
+            c: factor * rng.choice([-9, -4, -3, -2, -1, 0, 1, 2, 3, 6, 8])
+            for c in rng.sample(range(12), width)
+        }
+        if rng.random() < 0.5:
+            row = {c: v.numerator if isinstance(v, Fraction) and v.denominator == 1 else v for c, v in row.items()}
+        before = dict(row)
+        got = _primitive_int_row(row)
+        kinds.add((int_entries(row), got == row))
+        assert got == reference_primitive_int_row(row), row
+        assert got is not row and row == before and int_entries(got)
+    assert {(True, True), (True, False), (False, False)} <= kinds
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_reduce_leaves_its_input_unchanged(field):
+    """reduce updates its working row in place; the row it starts from must be
+    a copy even when the input is already primitive (or monic)."""
+    rng = random.Random(7420)
+    span = EchelonSpan(field)
+    for _ in range(300):
+        vec = {c: random_coeff(rng, field) for c in rng.sample(range(8), rng.randint(1, 4))}
+        if not field.p and rng.random() < 0.5:
+            vec = {c: v.numerator for c, v in vec.items() if v.denominator == 1} or {0: 1}
+        before = dict(vec)
+        r = span.reduce(vec)
+        assert vec == before and r is not vec
+        span.add(vec)
+        assert vec == before
