@@ -11,6 +11,19 @@ generators: only there is a kernel computed (La Scala and Stillman, JSC
 1998). Tensoring the truncated resolution with R/J and taking ranks gives
 the graded Tor table, which cross-checks the closed-form chi.
 
+The Tor table through step i_max needs the rank of d_{i_max+1} tensored
+with R/J, but not a minimal F_{i_max+1}. By exactness im d_{i_max+1} =
+ker d_{i_max}, so for any set S generating that kernel, its image in
+F_{i_max} tensored with R/J is spanned in degree j by the u * s (s in S, u
+a standard monomial of R/J of degree j - deg s), and the rank is that of
+those products, whichever S is taken. The resolution keeps such an S: in
+each degree, the kernel vectors of step i_max's built products. With the
+multiples of the lower-degree ones they span the whole degree-j kernel,
+since a skipped product's kernel vector is x times a lower-degree one up to
+earlier products (see below). For i_max = 0, d_0 is F_0 -> R/I, whose
+kernel is I, and S is the ideal's generators. The lowest degree of S is
+where ker d_{i_max} starts, which is min deg F_{i_max+1}.
+
 A step's product columns u * g come in order of g, then of u ascending in
 the monomial order, and a column spanned by the ones before it is never
 built: the syzygy criterion of F5 (Faugere, ISSAC 2002) in this
@@ -23,7 +36,11 @@ span rows and every residual unchanged. At a generator cell the kernel is
 taken over the built columns only: a skipped column's kernel vector is x
 times a lower-degree one, up to kernel vectors of earlier columns, so the
 products of earlier generators and the vectors tested before it span it,
-and the minimal-generator test would reject it.
+and the minimal-generator test would reject it. The Tor ranks run the same
+pass on the products over R/J, from F_1 up to the top set S: the argument
+holds word for word with normal forms modulo J, whose standard monomials
+are closed under division too, and the elements multiplied need not be
+minimal generators.
 
 The inner loop runs on coordinate data, not polynomials. A GradedBasis
 keeps one normal-form table, monomial -> (monomial, coefficient) pairs.
@@ -47,9 +64,9 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .errors import AlgebraError
-from .groebner import GroebnerBasis, reduce_against, standard_monomials
-from .linalg import EchelonSpan, kernel_of_columns, rank_of_vectors
-from .rings import GradedRing, Poly, homogeneous_gens, ideal_key, mono_mul
+from .groebner import GroebnerBasis, reduce_against
+from .linalg import EchelonSpan, kernel_of_columns
+from .rings import GradedRing, Poly, homogeneous_gens, ideal_key, mono_mul, wdeg
 
 
 class GradedBasis:
@@ -63,23 +80,39 @@ class GradedBasis:
     memoises one instance per ideal (see _graded_basis).
     """
 
-    __slots__ = ("gb", "ring", "_basis", "_index", "_nf", "_up")
+    __slots__ = ("gb", "ring", "_leads", "_basis", "_index", "_nf", "_up")
 
     def __init__(self, gb: GroebnerBasis):
         self.gb = gb
         self.ring = gb.ring
+        self._leads = frozenset(gb.leading_monomials())
         self._basis: dict = {}
         self._index: dict = {}
         self._nf: dict = {}
         self._up: dict = {}
 
     def basis(self, j: int):
+        """Standard monomials of degree j in ascending monomial order, as
+        groebner.standard_monomials lists them. A monomial is standard when
+        it is no leading monomial and each of its one-variable divisors is
+        standard (a leading monomial dividing it properly would divide one
+        of those), so degree j is built from the lower degrees' bases."""
         if j < 0:
             return ()
         b = self._basis.get(j)
         if b is None:
-            b = tuple(standard_monomials(self.gb, j))
-            self._basis[j] = b
+            below = [self.index(j - w) for w in self.ring.weights]
+            if j:
+                found = {m[:k] + (m[k] + 1,) + m[k + 1 :] for k, ms in enumerate(below) for m in ms}
+            else:
+                found = {(0,) * len(below)}
+            b = [
+                m
+                for m in found
+                if m not in self._leads
+                and all(not a or m[:k] + (a - 1,) + m[k + 1 :] in below[k] for k, a in enumerate(m))
+            ]
+            b = self._basis[j] = tuple(sorted(b, key=self.ring.order.key))
             self._index[j] = {m: i for i, m in enumerate(b)}
         return b
 
@@ -97,8 +130,11 @@ class GradedBasis:
         """Normal form of the monomial m, as (monomial, coefficient) pairs."""
         t = self._nf.get(m)
         if t is None:
-            p = reduce_against(Poly(self.ring, {m: self.ring.field.one}), self.gb)
-            t = tuple((m2, _int_if_integral(c)) for m2, c in p.terms.items())
+            if m in self.index(wdeg(m, self.ring)):
+                t = ((m, 1),)
+            else:
+                p = reduce_against(Poly(self.ring, {m: self.ring.field.one}), self.gb)
+                t = tuple((m2, _int_if_integral(c)) for m2, c in p.terms.items())
             self._nf[m] = t
         return t
 
@@ -166,6 +202,14 @@ class TruncatedResolution:
     sorted by coordinate position: component indexes F_{i-1}'s generators,
     and coefficients are ints (primitive over QQ, in [0, p) over GF(p)).
     F_0 = R always, presenting the cyclic module R/I.
+
+    top_images generates ker d_{i_max} through degree d_max, in terms over
+    F_{i_max}'s generators like images, but not minimally: the kernel
+    vectors of step i_max's built columns, degree by degree, with their
+    degrees in top_degrees. Its lowest degree is that of the minimal
+    F_{i_max+1}. For i_max = 0 the kernel is that of F_0 -> R/I, which is
+    I, and top_images holds the ideal's generators in normal form, with
+    field-element coefficients.
     """
 
     ring: GradedRing
@@ -174,6 +218,8 @@ class TruncatedResolution:
     d_max: int
     degrees: tuple
     images: tuple
+    top_degrees: tuple
+    top_images: tuple
 
 
 def _image_columns(rb: GradedBasis, elems, pairs, tgt_degs, j: int) -> list:
@@ -213,6 +259,46 @@ def truncated_resolution(ring: GradedRing, gens, i_max: int = 8, d_max: int = 16
     )
 
 
+def _rank_pass(rb: GradedBasis, elems, degs, tgt_degs, j: int, dead: dict):
+    """Rank pass at internal degree j of one step, over the quotient of rb:
+    the degree-j products u * elems[g] (g by degs, then u ascending in the
+    monomial order) into the free module on tgt_degs, less the ones a dead
+    mask of degree j - w marks as spanned by the products before them.
+    dead maps a degree to one bit mask per g over rb.basis(j - degs[g]) of
+    the u whose product was skipped or reduced to zero; the pass fills
+    dead[j] and drops the degree no later pass steps down to, so degrees
+    must come in ascending order. Returns the span of the built products,
+    the products themselves, their positions among all products and the
+    number of all products."""
+    weights = sorted(set(rb.ring.weights))
+    below = [(w, dead.get(j - w, ())) for w in weights]
+    dead.pop(j - weights[-1], None)
+    masks, offs, pairs, kept, n = [], [], [], [], 0
+    for g, d in enumerate(degs):
+        e = j - d
+        basis = rb.basis(e)
+        marked = [(w, m[g]) for w, m in below if g < len(m) and m[g]]
+        skip = rb._multiples(marked, e) if marked else 0
+        if skip:
+            for q, u in enumerate(basis):
+                if not skip >> q & 1:
+                    pairs.append((g, u))
+                    kept.append(n + q)
+        else:
+            pairs += [(g, u) for u in basis]
+            kept += range(n, n + len(basis))
+        masks.append(skip)
+        offs.append(n)
+        n += len(basis)
+    cols = _image_columns(rb, elems, pairs, tgt_degs, j)
+    span = EchelonSpan(rb.ring.field)
+    for (g, _), k, col in zip(pairs, kept, cols):
+        if not span.add(col):
+            masks[g] |= 1 << (k - offs[g])
+    dead[j] = masks
+    return span, cols, kept, n
+
+
 def _resolve(ring: GradedRing, gens, i_max: int, d_max: int) -> TruncatedResolution:
     rb = _graded_basis(ring)
     field = ring.field
@@ -221,25 +307,24 @@ def _resolve(ring: GradedRing, gens, i_max: int, d_max: int) -> TruncatedResolut
     candidates = [q for q in (rb.multiply_nf(one, g) for g in gens) if q]
     candidates.sort(key=lambda p: (p.homogeneous_degree(), p.canonical_key()))
 
-    # At each (i, j), cols are the degree-j products of F_i's earlier
-    # generators, less those known to be spanned by the ones before them.
-    # Added to a fresh span, they give the minimal-generator span, and its
-    # row count is their rank r_i. For i >= 2 they lie in ker d_{i-1}, of
-    # dimension n_{i-1} - r_{i-1} (n_{i-1}: step i-1's full column count,
-    # skipped columns included), so the difference counts the new generators
-    # at (i, j). Only then is that kernel computed, over the kept columns,
-    # and its vectors, mapped back to full positions through kept, are tested
-    # in canonical order. A generator accepted at degree j is independent of
-    # cols, so its own column adds no kernel vector. Generators arrive in
-    # ascending degree, so offsets over the partial degree lists are final
-    # for every degree <= j. images[i] keeps each generator's image as
-    # (component, monomial, coefficient) terms. dead[i][j] holds, per
-    # generator g of F_i at (i, j), the bit mask over rb.basis(j - d_g) of
-    # the u whose column was skipped or reduced to zero there.
-    degrees = [[0]] + [[] for _ in range(i_max)]
-    images = [[] for _ in range(i_max + 1)]
+    # At each (i, j), _rank_pass builds the degree-j products of F_i's
+    # earlier generators, less those known to be spanned by the ones before
+    # them. Their span is the minimal-generator span, and its row count is
+    # their rank r_i. For i >= 2 they lie in ker d_{i-1}, of dimension
+    # n_{i-1} - r_{i-1} (n_{i-1}: step i-1's full column count, skipped
+    # columns included), so the difference counts the new generators at
+    # (i, j). Only then is that kernel computed, over the kept columns, and
+    # its vectors, mapped back to full positions through kept, are tested in
+    # canonical order. A generator accepted at degree j is independent of
+    # the products, so its own column adds no kernel vector. Generators
+    # arrive in ascending degree, so offsets over the partial degree lists
+    # are final for every degree <= j. Step i_max + 1 runs no rank pass: it
+    # keeps every kernel vector of step i_max's kept columns, which exist
+    # where that pass met a zero residual. images[i] keeps each vector as
+    # (component, monomial, coefficient) terms.
+    degrees = [[0]] + [[] for _ in range(i_max + 1)]
+    images = [[] for _ in range(i_max + 2)]
     dead = [{} for _ in range(i_max + 1)]
-    weights = sorted(set(ring.weights))
     start = candidates[0].homogeneous_degree() if candidates else d_max + 1
     for j in range(start, d_max + 1):
         idx = rb.index(j)
@@ -250,51 +335,28 @@ def _resolve(ring: GradedRing, gens, i_max: int, d_max: int) -> TruncatedResolut
         ]
         # never leave the i-loop early: over an Artinian ring F_i can have
         # degree-j products, which step i + 1 needs, when F_{i-1} has none
-        for i in range(1, i_max + 1):
-            prev_degs = degrees[i - 1]
-            below = [(w, dead[i].get(j - w, ())) for w in weights]
-            dead[i].pop(j - weights[-1], None)  # no later degree steps down to it
-            masks, offs, pairs, kept, n = [], [], [], [], 0
-            for g, d in enumerate(degrees[i]):
-                e = j - d
-                basis = rb.basis(e)
-                marked = [(w, m[g]) for w, m in below if g < len(m) and m[g]]
-                skip = rb._multiples(marked, e) if marked else 0
-                if skip:
-                    for q, u in enumerate(basis):
-                        if not skip >> q & 1:
-                            pairs.append((g, u))
-                            kept.append(n + q)
-                else:
-                    pairs += [(g, u) for u in basis]
-                    kept += range(n, n + len(basis))
-                masks.append(skip)
-                offs.append(n)
-                n += len(basis)
-            cols = _image_columns(rb, images[i], pairs, prev_degs, j)
-            span = EchelonSpan(field)
-            for (g, _), k, col in zip(pairs, kept, cols):
-                if not span.add(col):
-                    masks[g] |= 1 << (k - offs[g])
-            dead[i][j] = masks
-            rank = len(span.rows)
+        for i in range(1, i_max + 2):
+            top = i > i_max
+            if not top:
+                span, cols, kept, n = _rank_pass(rb, images[i], degrees[i], degrees[i - 1], j, dead[i])
+                rank = len(span.rows)
             if i > 1:
-                new = prev_n - prev_rank - rank
+                new = len(prev_cols) - prev_rank if top else prev_n - prev_rank - rank
                 kernel = kernel_of_columns(prev_cols, len(prev_cols), field) if new > 0 else []
                 piece = [{prev_kept[k]: c for k, c in vec.items()} for vec in kernel]
             if piece:
                 # position -> (component, monomial) in the degree-j piece of F_{i-1}
-                slots = [(h, m) for h, d in enumerate(prev_degs) for m in rb.basis(j - d)]
+                slots = [(h, m) for h, d in enumerate(degrees[i - 1]) for m in rb.basis(j - d)]
                 for vec in piece:
-                    r = span.add(vec)
+                    r = vec if top else span.add(vec)
                     if r:
                         degrees[i].append(j)
                         images[i].append(tuple((*slots[k], c) for k, c in sorted(r.items())))
-            prev_cols, prev_rank, prev_n, prev_kept = cols, rank, n, kept
+            if not top:
+                prev_cols, prev_rank, prev_n, prev_kept = cols, rank, n, kept
 
-    return TruncatedResolution(
-        ring, gens, i_max, d_max, tuple(map(tuple, degrees)), tuple(map(tuple, images))
-    )
+    degrees, images = tuple(map(tuple, degrees)), tuple(map(tuple, images))
+    return TruncatedResolution(ring, gens, i_max, d_max, degrees[:-1], images[:-1], degrees[-1], images[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +371,9 @@ class TorTable:
     memo hands the same table to every caller. chi_complete_through is the
     largest degree whose alternating-sum coefficient is certified complete:
     below the smallest generator degree of F_{i_max+1}, no homological
-    degree beyond i_max can contribute.
+    degree beyond i_max can contribute. betti lists the generator degrees
+    of F_0 ... F_{i_max}: F_{i_max+1} is never resolved, and its lowest
+    degree is read off a generating set of ker d_{i_max}.
     """
 
     i_max: int
@@ -333,7 +397,8 @@ class TorTable:
 
 def tor_table(ring: GradedRing, I, J, i_max: int = 8, d_max: int = 16) -> TorTable:
     """Graded Tor table of (R/I, R/J), by tensoring the truncated minimal
-    resolution of R/I with R/J and taking ranks per graded piece; memoised
+    resolution of R/I with R/J and taking ranks per graded piece, the top
+    ranks from the resolution's generating set of ker d_{i_max}; memoised
     on the ring, so a `check` after a `tor` on the same window reuses it."""
     if i_max < 0 or d_max < 0:
         raise AlgebraError("imax and dmax must be nonnegative")
@@ -346,33 +411,28 @@ def tor_table(ring: GradedRing, I, J, i_max: int = 8, d_max: int = 16) -> TorTab
 
 
 def _tor_table(ring: GradedRing, I, J, i_max: int, d_max: int) -> TorTable:
-    res = truncated_resolution(ring, I, i_max + 1, d_max)
+    res = truncated_resolution(ring, I, i_max, d_max)
     nb = _graded_basis(ring, J)
-    field = ring.field
+    degrees = (*res.degrees, res.top_degrees)
+    images = (*res.images, res.top_images)
 
     ranks: dict = {}
     for i in range(1, i_max + 2):
-        degs_i = res.degrees[i]
-        if not degs_i:
-            continue
-        degs_prev = res.degrees[i - 1]
-        for j in range(min(degs_i), d_max + 1):
-            pairs = [(g, u) for g, d in enumerate(degs_i) for u in nb.basis(j - d)]
-            r = rank_of_vectors(_image_columns(nb, res.images[i], pairs, degs_prev, j), field)
+        dead: dict = {}
+        for j in range(min(degrees[i], default=d_max + 1), d_max + 1):
+            r = len(_rank_pass(nb, images[i], degrees[i], degrees[i - 1], j, dead)[0].rows)
             if r:
                 ranks[(i, j)] = r
 
     entries: dict = {}
     for i in range(i_max + 1):
-        degs_i = res.degrees[i]
         for j in range(d_max + 1):
-            dt = sum(nb.dim(j - d) for d in degs_i)
+            dt = sum(nb.dim(j - d) for d in degrees[i])
             e = dt - ranks.get((i, j), 0) - ranks.get((i + 1, j), 0)
             if e:
                 entries[(i, j)] = e
 
-    next_degs = res.degrees[i_max + 1]
-    bound = d_max if not next_degs else min(d_max, min(next_degs) - 1)
+    bound = min(d_max, min(res.top_degrees, default=d_max + 1) - 1)
     return TorTable(
         i_max=i_max,
         d_max=d_max,

@@ -87,18 +87,18 @@ def test_check_report_pass():
 
 def test_check_after_tor_reuses_the_tor_table(monkeypatch):
     """The ring memoises the Tor table per window, so a `check` after a `tor`
-    on the same window computes no rank, and both reports read as when each
+    on the same window runs no rank pass, and both reports read as when each
     command runs alone."""
     from gradedchi import homology
 
     calls = []
-    rank = homology.rank_of_vectors
+    rank_pass = homology._rank_pass
 
     def counted(*args):
         calls.append(args)
-        return rank(*args)
+        return rank_pass(*args)
 
-    monkeypatch.setattr(homology, "rank_of_vectors", counted)
+    monkeypatch.setattr(homology, "_rank_pass", counted)
     tor_cmd = "tor I J --imax 4 --dmax 8;\n"
     check_cmd = "check I J --imax 4 --dmax 8;\n"
     prefix = CUBIC_CHECK.replace(check_cmd, "")

@@ -13,9 +13,9 @@ import pytest
 from gradedchi import homology
 from gradedchi.arith import series_expand
 from gradedchi.chi import chi_series, gulliksen_chi
-from gradedchi.cli import run
+from gradedchi.cli import bundled_sessions, run
 from gradedchi.errors import AlgebraError, ImproperIntersectionError
-from gradedchi.groebner import reduce_against
+from gradedchi.groebner import reduce_against, standard_monomials
 from gradedchi.hilbert import dim_and_mult, hilbert_series
 from gradedchi.homology import (
     chi_truncated,
@@ -23,7 +23,8 @@ from gradedchi.homology import (
     tor_table,
     truncated_resolution,
 )
-from gradedchi.rings import GradedRing, PolyRing, field_from_name, mono_mul
+from gradedchi.linalg import rank_of_vectors
+from gradedchi.rings import GradedRing, Poly, PolyRing, field_from_name, mono_mul
 from gradedchi.session import parse_session
 
 from oracles import (
@@ -562,6 +563,39 @@ def test_graded_basis_index_below_degree_zero_is_empty():
     assert rb.dim(2) == 1
 
 
+def _basis_cases():
+    """(ring, gens) for quotients R/<gens>: every bundled ring, alone and
+    with each of its session's ideals, and seeded weighted and Artinian
+    random quotients, each over QQ, GF(2) and GF(32003)."""
+    cases = []
+    for field in ("qq", "fp:2", "fp:32003"):
+        for _, text in bundled_sessions():
+            session = parse_session(text, field_from_name(field))
+            cases += [(session.ring, gens) for gens in ((), *session.ideals.values())]
+        rng = random.Random(1500)
+        for k in range(6):
+            R, I = _random_quotient(rng, field_from_name(field), artinian=k % 2 == 0)
+            cases += [(R, ()), (R, I)]
+    return cases
+
+
+def test_graded_basis_matches_standard_monomials():
+    """basis(j), built from the lower degrees' bases, is
+    standard_monomials(gb, j) in the same order, whichever degree is asked
+    first; nf_monomial, which answers a standard monomial by itself, is the
+    normal form from reduce_against for every monomial."""
+    for R, gens in _basis_cases():
+        gb = R.groebner(gens)
+        rb = homology.GradedBasis(gb)
+        for j in (9, *range(9)):
+            assert rb.basis(j) == tuple(standard_monomials(gb, j)), (R, gens, j)
+        one = R.field.one
+        for j in range(6):
+            for m in monomials_of_degree(R.ambient.weights, j):
+                nf = reduce_against(Poly(R.ambient, {m: one}), gb)
+                assert dict(rb.nf_monomial(m)) == nf.terms, (R, gens, m)
+
+
 RESOLUTION_GOLDENS = Path(__file__).parent / "goldens" / "resolutions.json"
 
 
@@ -660,9 +694,11 @@ def test_golden_recorder_only_appends(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", ["cubic_cone-qq", "cubic_cone-fp:32003", "two_planes-qq", "two_planes-fp:32003"])
 def test_kernels_only_where_generators_appear(name, monkeypatch):
-    """A kernel is computed at (i, j), i >= 2, only where the rank count
-    (n_{i-1} - r_{i-1}) - r_i is positive, which is exactly where F_i gains
-    a generator of degree j."""
+    """A kernel is computed at (i, j), 2 <= i <= i_max, only where the rank
+    count (n_{i-1} - r_{i-1}) - r_i is positive, which is exactly where F_i
+    gains a generator of degree j; and at (i_max + 1, j) only where step
+    i_max's built columns are dependent, once per degree of the top
+    generating set."""
     calls = []
     kernel = homology.kernel_of_columns
 
@@ -674,7 +710,8 @@ def test_kernels_only_where_generators_appear(name, monkeypatch):
     (R, I, i_max, d_max), = [case for n, *case in _resolution_cases() if n == name]
     res = truncated_resolution(R, I, i_max, d_max)
     cells = {(i, j) for i in range(2, i_max + 1) for j in res.degrees[i]}
-    assert cells and len(calls) == len(cells)
+    cells |= {(i_max + 1, j) for j in res.top_degrees}
+    assert res.top_degrees and cells and len(calls) == len(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -712,13 +749,14 @@ def _ambient_column(elem, u):
     return col
 
 
-def _relation_rows(R, tgt_degs, j):
-    """Rows spanning the degree-j piece of the relation submodule of the free
-    module with generator degrees tgt_degs, in the coordinates above."""
+def _relation_rows(R, tgt_degs, j, J=()):
+    """Rows spanning the degree-j piece of the submodule generated by the
+    relations and the generators of J in each component of the free module
+    with generator degrees tgt_degs, in the coordinates above."""
     weights = R.ambient.weights
     rows = []
     for h, d in enumerate(tgt_degs):
-        for r in R.relations:
+        for r in (*R.relations, *J):
             for v in monomials_of_degree(weights, j - d - r.homogeneous_degree()):
                 rows.append({(h, tuple(a + b for a, b in zip(v, m))): c for m, c in r.terms.items()})
     return rows
@@ -764,3 +802,129 @@ def test_skipped_columns_reduce_to_zero_in_a_full_pass(name, monkeypatch):
             skipped += len(full) - len(pairs)
         assert set(step.values()) <= {i_max}
     assert skipped > 0 and built > 0
+
+
+def _tor_criterion_cases(name):
+    """(ring, I, J, i_max, d_max): each criterion case with a second ideal,
+    the bundled sessions' J on the golden rings and one or two seeded random
+    forms of degree 1 to 3 on the random quotients."""
+    rng = random.Random(1400 + CRITERION_CASES.index(name))
+    cases = []
+    for R, I, i_max, d_max in _criterion_cases(name):
+        if name.startswith("cubic_cone"):
+            x, y, z = R.ambient.gens()
+            J = (y, x + z)
+        elif name.startswith("two_planes"):
+            x, y, z, w = R.ambient.gens()
+            J = (y, z, w)
+        else:
+            J, count = [], rng.randrange(1, 3)
+            while len(J) < count:
+                f = random_homogeneous_poly(rng, R.ambient, rng.randrange(1, 4))
+                if f is not None:
+                    J.append(f)
+        cases.append((R, I, tuple(J), i_max, d_max))
+    return cases
+
+
+@pytest.mark.parametrize("name", CRITERION_CASES)
+def test_skipped_tor_columns_reduce_to_zero_in_a_full_pass(name, monkeypatch):
+    """The Tor ranks run the same criterion over R/J, on F_1 ... F_{i_max}
+    and the top generating set: at every (i, j) each product left out
+    reduces to zero against all the products before it, and the rank of
+    the built products is the rank of all of them. The reference pass works
+    on ambient monomials modulo the relations and J's multiples."""
+    calls = []
+    build = homology._image_columns
+
+    def recorded(rb, elems, pairs, tgt_degs, j):
+        cols = build(rb, elems, pairs, tgt_degs, j)
+        calls.append((elems, j, list(pairs), cols))
+        return cols
+
+    monkeypatch.setattr(homology, "_image_columns", recorded)
+    built = skipped = 0
+    for R, I, J, i_max, d_max in _tor_criterion_cases(name):
+        res = truncated_resolution(R, I, i_max, d_max)
+        degrees = (*res.degrees, res.top_degrees)
+        images = (*res.images, res.top_images)
+        step = {id(e): i for i, e in enumerate(images) if e}
+        calls.clear()  # the resolution is memoised: what follows are the Tor ranks
+        tor_table(R, I, J, i_max, d_max)
+        nb = homology._graded_basis(R, J)
+        p = R.field.p
+        for elems, j, pairs, cols in calls:
+            i = step[id(elems)]
+            full = [(g, u) for g, d in enumerate(degrees[i]) if d <= j for u in nb.basis(j - d)]
+            kept = set(pairs)
+            assert [q for q in full if q in kept] == pairs, (i, j)
+            tgt_degs = [d for d in degrees[i - 1] if d <= j]
+            rank, zero = full_column_pass(
+                [_ambient_column(elems[g], u) for g, u in full], p, _relation_rows(R, tgt_degs, j, J)
+            )
+            assert full_column_pass(cols, p)[0] == rank, (i, j)
+            for q, z in zip(full, zero):
+                if q not in kept:
+                    assert z, (i, j, q)
+            built += len(pairs)
+            skipped += len(full) - len(pairs)
+    assert skipped > 0 and built > 0
+
+
+# ---------------------------------------------------------------------------
+# the top step against ranks over a minimal F_{i_max+1}
+
+
+def _old_route_tor(R, I, J, i_max, d_max):
+    """Tor entries and completeness bound from the minimal resolution one
+    step further, truncated_resolution(R, I, i_max + 1, d_max): ranks over
+    every product column of F_1 ... F_{i_max+1} over R/J, no criterion, and
+    the bound below the lowest degree of F_{i_max+1}."""
+    res = truncated_resolution(R, I, i_max + 1, d_max)
+    nb = homology._graded_basis(R, J)
+    ranks = {}
+    for i in range(1, i_max + 2):
+        for j in range(d_max + 1):
+            pairs = [(g, u) for g, d in enumerate(res.degrees[i]) for u in nb.basis(j - d)]
+            cols = homology._image_columns(nb, res.images[i], pairs, res.degrees[i - 1], j)
+            ranks[i, j] = rank_of_vectors(cols, R.field)
+    entries = {}
+    for i in range(i_max + 1):
+        for j in range(d_max + 1):
+            e = sum(nb.dim(j - d) for d in res.degrees[i]) - ranks.get((i, j), 0) - ranks[i + 1, j]
+            if e:
+                entries[i, j] = e
+    return entries, min(d_max, min(res.degrees[i_max + 1], default=d_max + 1) - 1)
+
+
+def _top_step_cases():
+    """(label, ring, I, J, golden window) for the criterion cases and for
+    every tor or check command of the bundled sessions over QQ and
+    GF(32003)."""
+    cases = [(name, *case) for name in CRITERION_CASES for case in _tor_criterion_cases(name)]
+    for field in ("qq", "fp:32003"):
+        for name, text in bundled_sessions():
+            session = parse_session(text, field_from_name(field))
+            for cmd in session.commands:
+                if cmd.kind in ("tor", "check"):
+                    I, J = (session.ideals[n] for n in cmd.idents)
+                    window = cmd.flags["imax"], cmd.flags["dmax"]
+                    cases.append((f"{name}-{field}", session.ring, I, J, *window))
+    return cases
+
+
+def test_top_step_matches_the_minimal_next_step():
+    """tor_table reads the top ranks off a generating set of ker d_{i_max};
+    its entries and completeness bound are those of the ranks over a minimal
+    F_{i_max+1}, for i_max in {0, 1, 2} and the golden window. For
+    i_max = 0 the top set is the ideal's generators (ker of F_0 -> R/I is
+    I)."""
+    seen = 0
+    for label, R, I, J, i_max, d_max in _top_step_cases():
+        for top in sorted({0, 1, 2, i_max}):
+            tt = tor_table(R, I, J, top, d_max)
+            old = _old_route_tor(R, I, J, top, d_max)
+            assert (dict(tt.entries), tt.chi_complete_through) == old, (label, top)
+            assert len(tt.betti) == top + 1
+            seen += bool(truncated_resolution(R, I, top, d_max).top_degrees)
+    assert seen
