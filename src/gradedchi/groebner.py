@@ -93,10 +93,9 @@ def _int_terms(terms: dict):
 
 def _scaled_poly(ring: PolyRing, terms: dict, scale) -> Poly:
     """The Poly terms / scale: one exact Fraction per term over QQ; over
-    GF(p) the scale is 1 and each term is reduced mod p."""
-    p = ring.field.p
-    if p:
-        return Poly(ring, {m: c % p for m, c in terms.items()})
+    GF(p) the scale is 1, and the Poly constructor reduces each term mod p."""
+    if ring.field.p:
+        return Poly(ring, terms)
     return Poly(ring, {m: Fraction(c, scale) for m, c in terms.items()})
 
 

@@ -59,6 +59,7 @@ to the certified completeness bound and never beyond.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -165,12 +166,11 @@ class GradedBasis:
 
     def multiply_nf(self, u, p: Poly) -> Poly:
         """Normal form of (monomial u) * p; p need not be reduced."""
-        f = self.ring.field
         acc: dict = {}
         for v, c in p.terms.items():
             for m2, c2 in self.nf_monomial(mono_mul(u, v)):
                 acc[m2] = acc.get(m2, 0) + c * c2
-        return Poly(self.ring, {m: f.coerce(c) for m, c in acc.items()})
+        return Poly(self.ring, acc)
 
 
 def _int_if_integral(c):
@@ -426,8 +426,9 @@ def _tor_table(ring: GradedRing, I, J, i_max: int, d_max: int) -> TorTable:
 
     entries: dict = {}
     for i in range(i_max + 1):
+        counts = Counter(degrees[i]).items()
         for j in range(d_max + 1):
-            dt = sum(nb.dim(j - d) for d in degrees[i])
+            dt = sum(n * nb.dim(j - d) for d, n in counts)
             e = dt - ranks.get((i, j), 0) - ranks.get((i + 1, j), 0)
             if e:
                 entries[(i, j)] = e

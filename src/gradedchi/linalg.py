@@ -111,14 +111,6 @@ class EchelonSpan:
         return r
 
 
-def rank_of_vectors(vecs, field) -> int:
-    span = EchelonSpan(field)
-    for v in vecs:
-        if v:
-            span.add(v)
-    return len(span.rows)
-
-
 def kernel_of_columns(cols, ncols: int, field):
     """Canonical basis of the nullspace {x : sum_j x_j * cols[j] = 0}.
 

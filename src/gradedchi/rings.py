@@ -4,6 +4,13 @@ Monomials are plain exponent tuples. A PolyRing fixes variable names, weights,
 a coefficient field (QQ or GF(p)) and a weighted-degree-compatible monomial
 order; a GradedRing adds homogeneous relations to present a quotient. All
 values are immutable by convention and all operations are pure.
+
+Coefficients are plain values: Fraction or int over QQ, int over GF(p).
+Arithmetic on them is plain +, - and *, and the field shows only where a
+value is normalised: in its coerce, in its inv, and in the Poly
+constructor, which over GF(p) reduces every coefficient mod p. Zero
+coefficients are dropped there too, so a Poly is zero exactly when its
+value is.
 """
 
 from __future__ import annotations
@@ -68,27 +75,10 @@ class RationalField:
             return Fraction(x)
         raise TypeError(f"cannot coerce {x!r} into QQ")
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
-
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        return Fraction(a) / b
 
     def __repr__(self):
         return "QQ"
@@ -135,7 +125,7 @@ def _is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """Arithmetic mod a prime p; elements are ints in [0, p)."""
+    """The prime field GF(p); its elements are ints in [0, p)."""
 
     __slots__ = ("p",)
     zero = 0
@@ -150,29 +140,14 @@ class PrimeField:
         if isinstance(x, int):
             return x % self.p
         if isinstance(x, Fraction):
-            return self.div(x.numerator % self.p, x.denominator % self.p)
+            return x.numerator * self.inv(x.denominator) % self.p
         raise TypeError(f"cannot coerce {x!r} into GF({self.p})")
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
 
     def inv(self, a):
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return (a * self.inv(b)) % self.p
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -300,8 +275,7 @@ class PolyRing:
         exps = tuple(exps)
         if len(exps) != self.nvars:
             raise ValueError("wrong number of exponents")
-        c = self.field.coerce(coeff)
-        return Poly(self, {exps: c} if c else {})
+        return Poly(self, {exps: self.field.coerce(coeff)})
 
     def constant(self, c) -> "Poly":
         return self.monomial((0,) * self.nvars, c)
@@ -328,13 +302,20 @@ class Poly:
 
     Immutable by convention, and a plain value: it keeps nothing derived
     from its terms. Division state lives with the GroebnerBasis that owns it.
+    The constructor is where coefficients are normalised: over GF(p) each
+    is reduced mod p, and zeros are dropped, so the arithmetic below sums
+    and multiplies plain values and hands the result to it.
     """
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
-        self.terms = {m: c for m, c in terms.items() if c}
+        p = ring.field.p
+        if p:
+            self.terms = {m: r for m, c in terms.items() if (r := c % p)}
+        else:
+            self.terms = {m: c for m, c in terms.items() if c}
 
     @property
     def is_zero(self) -> bool:
@@ -356,21 +337,15 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        f = self.ring.field
         out = dict(self.terms)
         for m, c in o.terms.items():
-            s = f.add(out.get(m, f.zero), c)
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
+            out[m] = out[m] + c if m in out else c
         return Poly(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        f = self.ring.field
-        return Poly(self.ring, {m: f.neg(c) for m, c in self.terms.items()})
+        return Poly(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -385,16 +360,11 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        f = self.ring.field
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in o.terms.items():
                 m = mono_mul(m1, m2)
-                s = f.add(out.get(m, f.zero), f.mul(c1, c2))
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
+                out[m] = out[m] + c1 * c2 if m in out else c1 * c2
         return Poly(self.ring, out)
 
     __rmul__ = __mul__

@@ -274,7 +274,7 @@ def scan_reduce_against(p, reducers):
     items in the order they were found, and how many times a monomial that
     had cancelled out of the working polynomial entered it again.
     """
-    field = p.ring.field
+    q = p.ring.field.p
     key = p.ring.order.key
     lead = []
     for r in reducers:
@@ -296,13 +296,15 @@ def scan_reduce_against(p, reducers):
             remainder[lm] = work.pop(lm)
             continue
         lmr, lcr, r = hit
-        q = tuple(a - b for a, b in zip(lm, lmr))
-        c = field.div(work[lm], lcr)
+        u = tuple(a - b for a, b in zip(lm, lmr))
+        c = work[lm] * pow(lcr, -1, q) % q if q else Fraction(work[lm]) / lcr
         for m2, c2 in r.terms.items():
-            mm = tuple(a + b for a, b in zip(q, m2))
+            mm = tuple(a + b for a, b in zip(u, m2))
             if mm not in work and mm in cancelled:
                 reentries += 1
-            nv = field.sub(work.get(mm, field.zero), field.mul(c, c2))
+            nv = work.get(mm, 0) - c * c2
+            if q:
+                nv %= q
             if nv:
                 work[mm] = nv
             else:

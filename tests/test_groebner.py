@@ -360,9 +360,13 @@ def _to_sympy(g, syms, sympy):
 
 def _monic_terms(items, field):
     """The monic form of a polynomial given as (monomial, coefficient) items,
-    as a sorted term tuple, leading monomial taken from the first item."""
-    lead = field.inv(items[0][1])
-    return tuple(sorted((m, field.mul(lead, c)) for m, c in items))
+    as a sorted term tuple, leading monomial taken from the first item: plain
+    residues over GF(p), Fractions over QQ."""
+    p, lead = field.p, items[0][1]
+    if p:
+        inv = pow(lead, -1, p)
+        return tuple(sorted((m, c * inv % p) for m, c in items))
+    return tuple(sorted((m, Fraction(c) / lead) for m, c in items))
 
 
 def _assert_matches_sympy(gens, r, sympy):

@@ -23,7 +23,6 @@ from gradedchi.homology import (
     tor_table,
     truncated_resolution,
 )
-from gradedchi.linalg import rank_of_vectors
 from gradedchi.rings import GradedRing, Poly, PolyRing, field_from_name, mono_mul
 from gradedchi.session import parse_session
 
@@ -887,7 +886,7 @@ def _old_route_tor(R, I, J, i_max, d_max):
         for j in range(d_max + 1):
             pairs = [(g, u) for g, d in enumerate(res.degrees[i]) for u in nb.basis(j - d)]
             cols = homology._image_columns(nb, res.images[i], pairs, res.degrees[i - 1], j)
-            ranks[i, j] = rank_of_vectors(cols, R.field)
+            ranks[i, j] = full_column_pass(cols, R.field.p)[0]
     entries = {}
     for i in range(i_max + 1):
         for j in range(d_max + 1):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from gradedchi.errors import AlgebraError, HomogeneityError
+from gradedchi.hilbert import hilbert_series
 from gradedchi.rings import (
     QQ,
     GradedRing,
@@ -16,6 +17,7 @@ from gradedchi.rings import (
     _MR_BOUND,
     _is_prime,
     field_from_name,
+    ideal_key,
     mono_divides,
     mono_div,
     mono_lcm,
@@ -174,6 +176,33 @@ def test_prime_field_polys():
     x, y = r.gens()
     assert (x + y) ** 5 == x**5 + y**5  # freshman's dream mod 5
     assert r.constant(5) == r.zero()
+    # the constructor reduces raw ints mod p and drops zeros
+    for p in (2, 7):
+        r = PolyRing(("x", "y"), field=PrimeField(p))
+        x, y = r.gens()
+        m = (1, 0)
+        zero = Poly(r, {m: p})
+        assert zero.is_zero and zero == r.zero() and zero == 0
+        a, b = Poly(r, {m: -1}), Poly(r, {m: p - 1})
+        assert a == b and hash(a) == hash(b) and ideal_key((a,)) == ideal_key((b,))
+        R = GradedRing(r)
+        assert R.groebner((a,)) is R.groebner((b,))
+        assert hilbert_series(R, (zero,)) == hilbert_series(R)
+        assert hilbert_series(R, (zero, a)) == hilbert_series(R, (x,))
+        assert (x + x == 0) == (p == 2) and x + x == Poly(r, {m: 2})
+        # raw ints, negative ones and multiples of p among them, give the
+        # value of their residues, stored in [1, p), through every operation
+        rng = random.Random(p)
+
+        def pair():
+            terms = {(rng.randrange(3), rng.randrange(3)): rng.randrange(-3 * p, 3 * p) for _ in range(4)}
+            return Poly(r, terms), Poly(r, {k: c % p for k, c in terms.items()})
+
+        for _ in range(100):
+            (f, f0), (g, g0) = pair(), pair()
+            for h, h0 in ((f, f0), (f + g, f0 + g0), (f - g, f0 - g0), (-f, -f0), (f * g, f0 * g0)):
+                assert h == h0 and h.terms == h0.terms
+                assert all(isinstance(c, int) and 0 < c < p for c in h.terms.values())
 
 
 def test_graded_ring_validation():
@@ -204,6 +233,14 @@ def test_canonical_keys_are_stable():
     p = x * y - y * y + x * y  # built in a scrambled way
     q = -(y**2) + 2 * x * y
     assert p == q and p.canonical_key() == q.canonical_key()
+    # over QQ, int and Fraction terms of one value are one polynomial
+    a = Poly(r, {(1, 0): 2, (0, 1): -1})
+    b = Poly(r, {(1, 0): Fraction(2), (0, 1): Fraction(-1), (1, 1): Fraction(0)})
+    assert a == b and hash(a) == hash(b) and ideal_key((a,)) == ideal_key((b,))
+    R = GradedRing(r)
+    assert R.groebner((a,)) is R.groebner((b,))
+    assert a + a == 2 * b and a * a == b * b and -a == -b
+    assert a * Fraction(1, 2) == Poly(r, {(1, 0): 1, (0, 1): Fraction(-1, 2)})
 
 
 def test_weighted_degrees_match_enumeration():
