@@ -1,10 +1,10 @@
 """Buchberger's algorithm, normal forms, leading-term ideals, standard monomials.
 
 The output basis is the reduced Groebner basis (monic, self-reduced, sorted
-by leading monomial), which is unique for a given ideal and monomial order,
-so every downstream computation is deterministic. Pair selection follows the
-normal strategy (smallest weighted-degree lcm first) with Buchberger's
-coprime and chain criteria.
+by leading monomial), which is unique for a given ideal, so every downstream
+computation is deterministic. Pair selection follows the normal strategy
+(smallest weighted-degree lcm first) with Buchberger's coprime and chain
+criteria.
 
 Reduction is heap-ordered division (Monagan & Pearce, CASC 2007): each
 monomial's order key is computed once, when it enters the working
@@ -26,7 +26,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import neg
+from operator import mul
 
 from .rings import (
     Poly,
@@ -55,10 +55,6 @@ class GroebnerBasis:
             _scaled_poly(ring, dict(((lm, lc), *tail)), lc) for lm, lc, tail in self.reducers
         )
 
-    @property
-    def order(self):
-        return self.ring.order
-
     def leading_monomials(self):
         return tuple(r[0] for r in self.reducers)
 
@@ -79,10 +75,10 @@ class GroebnerBasis:
         return f"GroebnerBasis({', '.join(str(g) for g in self.generators)})"
 
 
-def _neg_key(key, m):
-    """The order key negated, so that a min-heap pops the largest monomial."""
-    d, tail = key(m)
-    return (-d, tuple(map(neg, tail)))
+def _heap_key(weights, m):
+    """PolyRing.key(m) negated elementwise, so that a min-heap pops the
+    largest monomial; the negated grevlex tail is the reversed exponents."""
+    return (-sum(map(mul, m, weights)), m[::-1])
 
 
 def _int_terms(terms: dict):
@@ -132,17 +128,17 @@ def _divide(ring: PolyRing, work: dict, scale: int, reducers):
     scale by l / gcd(c, l) and subtracts (c / gcd(c, l)) * q * tail. Over
     GF(p) reducers are monic, so l = 1 and the step rescales nothing; work
     entries may leave [0, p) and are reduced mod p when popped. The working
-    polynomial's monomials wait in a heap keyed by the negated order key,
-    computed once when a monomial first enters; a monomial that cancels
-    keeps its entry with a zero coefficient and is skipped when popped.
+    polynomial's monomials wait in a heap keyed by _heap_key, computed once
+    when a monomial first enters; a monomial that cancels keeps its entry
+    with a zero coefficient and is skipped when popped.
 
     Returns (remainder, scale): the remainder's integer terms (residues over
     GF(p)) in descending monomial order, and the integer its true value is
     scaled by.
     """
     p = ring.field.p
-    key = ring.order.key
-    heap = [(_neg_key(key, m), m) for m in work]
+    weights = ring.weights
+    heap = [(_heap_key(weights, m), m) for m in work]
     heapq.heapify(heap)
     heappop, heappush = heapq.heappop, heapq.heappush
     remainder: dict = {}
@@ -172,7 +168,7 @@ def _divide(ring: PolyRing, work: dict, scale: int, reducers):
             old = work.get(mm)
             if old is None:
                 old = 0
-                heappush(heap, (_neg_key(key, mm), mm))
+                heappush(heap, (_heap_key(weights, mm), mm))
             work[mm] = old - c * c2
     return remainder, scale
 
@@ -230,7 +226,7 @@ def _s_terms(ring: PolyRing, rf, rg, big):
 def buchberger(gens, ring: PolyRing | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens.
 
-    Deterministic: the reduced basis is unique for the ideal and order, and
+    Deterministic: the reduced basis is unique for the ideal, and
     the run itself uses a fixed pair strategy (ascending weighted degree of
     the pair lcm, then the lcm itself, then indices). The working basis is
     kept in reducer form: primitive integer polynomials over QQ, monic ones
@@ -242,12 +238,12 @@ def buchberger(gens, ring: PolyRing | None = None) -> GroebnerBasis:
             raise ValueError("a ring is required for an empty generating set")
         ring = polys[0].ring
     for g in polys:
-        if g.ring != ring:
+        if g.ring is not ring and g.ring != ring:
             raise ValueError("generators belong to different rings")
 
     basis = [_reducer(g) for g in polys]
     lms = [b[0] for b in basis]
-    key = ring.order.key
+    key = ring.key
 
     heap: list = []
     pending: set[tuple[int, int]] = set()
@@ -303,7 +299,7 @@ def buchberger(gens, ring: PolyRing | None = None) -> GroebnerBasis:
 def _interreduce(basis, ring: PolyRing):
     """Minimalize and tail-reduce a Groebner basis, given in reducer form,
     into its reduced form, in reducer form sorted by leading monomial."""
-    key = ring.order.key
+    key = ring.key
     ordered = sorted(basis, key=lambda b: key(b[0]))
     minimal: list = []
     for b in ordered:
@@ -382,5 +378,5 @@ def standard_monomials(gb: GroebnerBasis, j: int):
     """
     lead = leading_ideal(gb)
     out = [m for m in monomials_of_wdeg(gb.ring.weights, j) if not lead.contains(m)]
-    out.sort(key=gb.ring.order.key)
+    out.sort(key=gb.ring.key)
     return out

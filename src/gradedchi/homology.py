@@ -113,7 +113,7 @@ class GradedBasis:
                 if m not in self._leads
                 and all(not a or m[:k] + (a - 1,) + m[k + 1 :] in below[k] for k, a in enumerate(m))
             ]
-            b = self._basis[j] = tuple(sorted(b, key=self.ring.order.key))
+            b = self._basis[j] = tuple(sorted(b, key=self.ring.key))
             self._index[j] = {m: i for i, m in enumerate(b)}
         return b
 

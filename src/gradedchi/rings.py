@@ -1,9 +1,10 @@
 """Sparse multivariate polynomials over exact fields, with positive weight gradings.
 
-Monomials are plain exponent tuples. A PolyRing fixes variable names, weights,
-a coefficient field (QQ or GF(p)) and a weighted-degree-compatible monomial
-order; a GradedRing adds homogeneous relations to present a quotient. All
-values are immutable by convention and all operations are pure.
+Monomials are plain exponent tuples. A PolyRing fixes variable names, weights
+and a coefficient field (QQ or GF(p)); its monomials are ordered by weighted
+grevlex, the one order, as every result here is a graded invariant. A
+GradedRing adds homogeneous relations to present a quotient. All values are
+immutable by convention and all operations are pure.
 
 Coefficients are plain values: Fraction or int over QQ, int over GF(p).
 Arithmetic on them is plain +, - and *, and the field shows only where a
@@ -16,7 +17,7 @@ value is.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from operator import add, mul, neg
 
 from .errors import AlgebraError, HomogeneityError
 
@@ -174,60 +175,15 @@ def field_from_name(name: str):
 
 
 # ---------------------------------------------------------------------------
-# monomial orders
-
-
-class MonomialOrder:
-    """A weighted-degree-first total monomial order.
-
-    Both supported tie-breaks (grevlex, deglex) compare weighted degree
-    first, so every order here is degree compatible: m | m' and m != m'
-    implies m < m'. That property is what makes leading-term Hilbert series
-    computations valid.
-    """
-
-    KINDS = ("grevlex", "deglex")
-    __slots__ = ("kind", "weights")
-
-    def __init__(self, kind: str, weights: tuple[int, ...]):
-        if kind not in self.KINDS:
-            raise ValueError(
-                f"unknown monomial order {kind!r}; degree-compatible orders: {self.KINDS}"
-            )
-        self.kind = kind
-        self.weights = tuple(weights)
-
-    def key(self, m):
-        """Sort key, a (weighted degree, int tuple) pair; bigger key = bigger monomial."""
-        d = sum(e * w for e, w in zip(m, self.weights))
-        if self.kind == "grevlex":
-            return (d, tuple(-e for e in reversed(m)))
-        return (d, m)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MonomialOrder)
-            and other.kind == self.kind
-            and other.weights == self.weights
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.weights))
-
-    def __repr__(self):
-        return f"MonomialOrder({self.kind!r}, weights={self.weights})"
-
-
-# ---------------------------------------------------------------------------
 # rings and polynomials
 
 
 class PolyRing:
-    """An ambient weighted polynomial ring k[x_1, ..., x_s]."""
+    """An ambient weighted polynomial ring k[x_1, ..., x_s], ordered by weighted grevlex."""
 
-    __slots__ = ("names", "weights", "field", "order")
+    __slots__ = ("names", "weights", "field")
 
-    def __init__(self, names, weights=None, field=QQ, order="grevlex"):
+    def __init__(self, names, weights=None, field=QQ):
         names = tuple(names)
         if not names:
             raise ValueError("a ring needs at least one variable")
@@ -244,11 +200,6 @@ class PolyRing:
         self.names = names
         self.weights = weights
         self.field = field
-        if isinstance(order, str):
-            order = MonomialOrder(order, weights)
-        elif order.weights != weights:
-            raise ValueError("monomial order weights disagree with the ring weights")
-        self.order = order
 
     @property
     def nvars(self) -> int:
@@ -256,6 +207,12 @@ class PolyRing:
 
     def wdeg(self, m) -> int:
         return wdeg(m, self.weights)
+
+    def key(self, m):
+        """The one monomial order's sort key; bigger key = bigger monomial.
+        Weighted degree comes first, so m | m' and m != m' implies m < m',
+        which makes leading-term Hilbert series valid."""
+        return (sum(map(mul, m, self.weights)), tuple(map(neg, m[::-1])))
 
     def zero(self) -> "Poly":
         return Poly(self, {})
@@ -286,15 +243,14 @@ class PolyRing:
             and other.names == self.names
             and other.weights == self.weights
             and other.field == self.field
-            and other.order == self.order
         )
 
     def __hash__(self):
-        return hash((self.names, self.weights, self.field, self.order))
+        return hash((self.names, self.weights, self.field))
 
     def __repr__(self):
         vs = ", ".join(f"{n}:{w}" for n, w in zip(self.names, self.weights))
-        return f"PolyRing({vs}; {self.field!r}; {self.order.kind})"
+        return f"PolyRing({vs}; {self.field!r})"
 
 
 class Poly:
@@ -303,8 +259,9 @@ class Poly:
     Immutable by convention, and a plain value: it keeps nothing derived
     from its terms. Division state lives with the GroebnerBasis that owns it.
     The constructor is where coefficients are normalised: over GF(p) each
-    is reduced mod p, and zeros are dropped, so the arithmetic below sums
-    and multiplies plain values and hands the result to it.
+    is reduced mod p (a Fraction by the field's coerce), and zeros are
+    dropped, so the arithmetic below sums and multiplies plain values and
+    hands the result to it.
     """
 
     __slots__ = ("ring", "terms")
@@ -313,7 +270,10 @@ class Poly:
         self.ring = ring
         p = ring.field.p
         if p:
-            self.terms = {m: r for m, c in terms.items() if (r := c % p)}
+            coerce = ring.field.coerce
+            self.terms = {
+                m: r for m, c in terms.items() if (r := c % p if type(c) is int else coerce(c))
+            }
         else:
             self.terms = {m: c for m, c in terms.items() if c}
 
@@ -326,7 +286,7 @@ class Poly:
 
     def _coerce(self, other):
         if isinstance(other, Poly):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("polynomials belong to different rings")
             return other
         if isinstance(other, (int, Fraction)):
@@ -399,13 +359,13 @@ class Poly:
 
     def sorted_terms(self, reverse: bool = True):
         """Terms ordered by the ring's monomial order (descending by default)."""
-        key = self.ring.order.key
+        key = self.ring.key
         return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=reverse)
 
     def leading_monomial(self):
         if not self.terms:
             raise AlgebraError("zero polynomial has no leading term")
-        return max(self.terms, key=self.ring.order.key)
+        return max(self.terms, key=self.ring.key)
 
     def homogeneous_degree(self):
         """The common weighted degree of all terms.
@@ -461,7 +421,7 @@ def ideal_key(gens):
 
 def _check_members(ambient: PolyRing, gens) -> None:
     for g in gens:
-        if not isinstance(g, Poly) or g.ring != ambient:
+        if not isinstance(g, Poly) or (g.ring is not ambient and g.ring != ambient):
             raise ValueError("generator does not live in the ambient ring")
 
 
@@ -492,7 +452,7 @@ class GradedRing:
     def __init__(self, ambient: PolyRing, relations=()):
         rels = []
         for r in relations:
-            if not isinstance(r, Poly) or r.ring != ambient:
+            if not isinstance(r, Poly) or (r.ring is not ambient and r.ring != ambient):
                 raise ValueError("relation does not live in the ambient ring")
             if r.is_zero:
                 continue
@@ -517,10 +477,6 @@ class GradedRing:
     @property
     def field(self):
         return self.ambient.field
-
-    @property
-    def order(self):
-        return self.ambient.order
 
     @property
     def nvars(self):

@@ -275,7 +275,7 @@ def scan_reduce_against(p, reducers):
     had cancelled out of the working polynomial entered it again.
     """
     q = p.ring.field.p
-    key = p.ring.order.key
+    key = p.ring.key
     lead = []
     for r in reducers:
         if r.terms:
@@ -323,7 +323,7 @@ def mul_s_polynomial(f, g):
     for groebner's S-pair builder, which works on shifted tails."""
     ring = f.ring
     field = ring.field
-    key = ring.order.key
+    key = ring.key
     lmf, lmg = max(f.terms, key=key), max(g.terms, key=key)
     big = tuple(max(a, b) for a, b in zip(lmf, lmg))
     mf = type(f)(ring, {tuple(a - b for a, b in zip(big, lmf)): field.inv(f.terms[lmf])})

@@ -14,7 +14,7 @@ from gradedchi.hilbert import (
     hilbert_series,
     weights_denominator,
 )
-from gradedchi.rings import GradedRing, PolyRing
+from gradedchi.rings import GradedRing, Poly, PolyRing
 
 from oracles import (
     poly_to_dict,
@@ -103,27 +103,38 @@ def test_hilbert_series_regular_element_drops_factor():
 
 
 def test_hilbert_series_order_independent():
+    # permuting the variables, weights with them, changes which monomials
+    # grevlex ranks highest, so the Buchberger run and the leading ideal
+    # change; the Hilbert series, an invariant of the graded quotient, must not
     rng = random.Random(810)
+    leads_moved = 0
     for _ in range(20):
-        ring_g = PolyRing(("x", "y", "z"), order="grevlex")
-        ring_d = PolyRing(("x", "y", "z"), order="deglex")
+        weights = tuple(rng.choice([1, 1, 2, 3]) for _ in range(3))
+        ring = PolyRing(("x", "y", "z"), weights)
+        perm = rng.sample(range(3), 3)  # variable k of ring is perm[k] of moved_ring
+        moved_ring = PolyRing(
+            tuple(ring.names[perm.index(k)] for k in range(3)),
+            tuple(weights[perm.index(k)] for k in range(3)),
+        )
+
+        def move(m):
+            return tuple(m[perm.index(k)] for k in range(3))
+
         polys = []
         for _ in range(rng.randrange(1, 3)):
-            p = random_homogeneous_poly(rng, ring_g, rng.randrange(1, 4))
+            p = random_homogeneous_poly(rng, ring, rng.randrange(1, 5))
             if p is not None:
                 polys.append(p)
         if not polys:
             continue
-        hs_g = hilbert_series(GradedRing(ring_g, ()), tuple(polys))
-        moved = tuple(
-            sum(
-                (ring_d.constant(c) * ring_d.monomial(m) for m, c in p.terms.items()),
-                ring_d.zero(),
-            )
-            for p in polys
-        )
-        hs_d = hilbert_series(GradedRing(ring_d, ()), moved)
-        assert hs_g.numerator == hs_d.numerator
+        moved = tuple(Poly(moved_ring, {move(m): c for m, c in p.terms.items()}) for p in polys)
+        hs = hilbert_series(GradedRing(ring, ()), tuple(polys))
+        hs_moved = hilbert_series(GradedRing(moved_ring, ()), moved)
+        assert hs_moved.numerator == hs.numerator
+        assert hs_moved.rational() == hs.rational()
+        leads = {move(m) for m in buchberger(polys).leading_monomials()}
+        leads_moved += leads != set(buchberger(moved).leading_monomials())
+    assert leads_moved > 0
 
 
 def test_hilbert_series_full_quotient_matches_oracle():

@@ -218,7 +218,7 @@ def test_negative_window_is_rejected(window):
     "foreign",
     [
         pytest.param(PolyRing(("x", "y", "z"), field=field_from_name("fp:7")), id="gf7"),
-        pytest.param(PolyRing(("x", "y", "z"), order="deglex"), id="deglex"),
+        pytest.param(PolyRing(("x", "y", "z"), (1, 1, 2)), id="weights"),
     ],
 )
 def test_generators_from_another_ring_are_rejected(foreign):

@@ -1,4 +1,4 @@
-"""Fields, monomial orders, sparse polynomials, graded quotient rings."""
+"""Fields, the monomial order, sparse polynomials, graded quotient rings."""
 
 import random
 from fractions import Fraction
@@ -10,7 +10,6 @@ from gradedchi.hilbert import hilbert_series
 from gradedchi.rings import (
     QQ,
     GradedRing,
-    MonomialOrder,
     Poly,
     PolyRing,
     PrimeField,
@@ -69,26 +68,22 @@ def test_large_prime_fields():
 
 def test_monomial_orders_are_degree_compatible():
     rng = random.Random(5)
-    for kind in ("grevlex", "deglex"):
-        order = MonomialOrder(kind, (1, 2, 1))
-        for _ in range(300):
-            a = tuple(rng.randrange(0, 4) for _ in range(3))
-            b = tuple(rng.randrange(0, 4) for _ in range(3))
-            da, db = wdeg(a, (1, 2, 1)), wdeg(b, (1, 2, 1))
-            if da < db:
-                assert order.key(a) < order.key(b)
-            if a == b:
-                assert order.key(a) == order.key(b)
-    with pytest.raises(ValueError):
-        MonomialOrder("lex", (1, 1))  # not degree-compatible, rejected
-
-
-def test_grevlex_vs_deglex_differ():
-    # x*z^2 vs y^3 (degree 3 each, standard weights): the two orders disagree
-    g = MonomialOrder("grevlex", (1, 1, 1))
-    d = MonomialOrder("deglex", (1, 1, 1))
-    a, b = (1, 0, 2), (0, 3, 0)
-    assert (g.key(a) < g.key(b)) != (d.key(a) < d.key(b))
+    ring = PolyRing(("x", "y", "z"), (1, 2, 1))
+    for _ in range(300):
+        a = tuple(rng.randrange(0, 4) for _ in range(3))
+        b = tuple(rng.randrange(0, 4) for _ in range(3))
+        da, db = wdeg(a, (1, 2, 1)), wdeg(b, (1, 2, 1))
+        if da < db:
+            assert ring.key(a) < ring.key(b)
+        if a == b:
+            assert ring.key(a) == ring.key(b)
+        if mono_divides(a, b) and a != b:
+            assert ring.key(a) < ring.key(b)
+    # grevlex, not deglex, at equal degree: x*z^2 < y^3 here, and the last
+    # variable breaks ties, the smaller power of it winning
+    ring = PolyRing(("x", "y", "z"))
+    assert ring.key((1, 0, 2)) < ring.key((0, 3, 0))
+    assert ring.key((0, 1, 1)) < ring.key((1, 1, 0))
 
 
 def test_poly_construction_and_str():
@@ -142,12 +137,11 @@ def test_poly_leading_data():
     for trial in range(100):
         weights = tuple(rng.choice([1, 2, 3]) for _ in range(3))
         field = rng.choice([QQ, PrimeField(32003)])
-        order = rng.choice(["grevlex", "deglex"])
-        ring = PolyRing(("x", "y", "z"), weights, field=field, order=order)
+        ring = PolyRing(("x", "y", "z"), weights, field=field)
         monos = [m for d in range(1, 7) for m in monomials_of_degree(weights, d)]
         chosen = rng.sample(monos, rng.randrange(1, 6))
         p = Poly(ring, {m: field.coerce(rng.randrange(1, 50)) for m in chosen})
-        expected = max(p.terms, key=ring.order.key)
+        expected = max(p.terms, key=ring.key)
         for _ in range(2):
             assert p.leading_monomial() == expected
 
@@ -203,6 +197,22 @@ def test_prime_field_polys():
             for h, h0 in ((f, f0), (f + g, f0 + g0), (f - g, f0 - g0), (-f, -f0), (f * g, f0 * g0)):
                 assert h == h0 and h.terms == h0.terms
                 assert all(isinstance(c, int) and 0 < c < p for c in h.terms.values())
+
+
+def test_prime_field_poly_coerces_fractions():
+    # the constructor takes a Fraction to its residue as the field's coerce
+    # does, so a term built either way is one polynomial
+    r = PolyRing(("x", "y"), field=PrimeField(7))
+    m = (1, 0)
+    half = Poly(r, {m: Fraction(1, 2)})
+    assert half.terms == {m: 4} and type(half.terms[m]) is int
+    assert half == Poly(r, {m: 4}) == r.monomial(m, Fraction(1, 2))
+    assert hash(half) == hash(Poly(r, {m: 4}))
+    assert Poly(r, {m: Fraction(7, 3), (0, 1): Fraction(-3, 5)}) == Poly(r, {(0, 1): 5})
+    with pytest.raises(ZeroDivisionError):
+        Poly(r, {m: Fraction(1, 7)})
+    with pytest.raises(TypeError, match="cannot coerce"):
+        Poly(r, {m: 0.5})
 
 
 def test_graded_ring_validation():
