@@ -26,16 +26,9 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import add, le, mul, sub
 
-from .rings import (
-    Poly,
-    PolyRing,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
-)
+from .rings import GradedRing, Poly, PolyRing, mono_divides, mono_lcm, mono_mul
 
 
 class GroebnerBasis:
@@ -150,12 +143,12 @@ def _divide(ring: PolyRing, work: dict, scale: int, reducers):
         if not c:
             continue
         for lmr, lcr, tail in reducers:
-            if mono_divides(lmr, lm):
+            if all(map(le, lmr, lm)):
                 break
         else:
             remainder[lm] = c
             continue
-        q = mono_div(lm, lmr)
+        q = tuple(map(sub, lm, lmr))
         g = gcd(c, lcr)
         c //= g
         if g != lcr:
@@ -164,7 +157,7 @@ def _divide(ring: PolyRing, work: dict, scale: int, reducers):
             work = {m: v * a for m, v in work.items()}
             remainder = {m: v * a for m, v in remainder.items()}
         for m2, c2 in tail:
-            mm = mono_mul(q, m2)
+            mm = tuple(map(add, q, m2))
             old = work.get(mm)
             if old is None:
                 old = 0
@@ -213,26 +206,32 @@ def _s_terms(ring: PolyRing, rf, rg, big):
     remain."""
     lmf, lcf, tailf = rf
     lmg, lcg, tailg = rg
-    uf, ug = mono_div(big, lmf), mono_div(big, lmg)
+    uf, ug = tuple(map(sub, big, lmf)), tuple(map(sub, big, lmg))
     h = gcd(lcf, lcg)
     a, b = lcg // h, lcf // h
-    out = {mono_mul(uf, m): a * c for m, c in tailf}
+    out = {tuple(map(add, uf, m)): a * c for m, c in tailf}
     for m, c in tailg:
-        mm = mono_mul(ug, m)
+        mm = tuple(map(add, ug, m))
         out[mm] = out.get(mm, 0) - b * c
     return out, lcf * a
 
 
-def buchberger(gens, ring: PolyRing | None = None) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by gens.
+def buchberger(gens, ring: PolyRing | GradedRing | None = None) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal generated by gens; over a
+    GradedRing, of its relations (first, in reducer form built once in its
+    memo) and gens.
 
-    Deterministic: the reduced basis is unique for the ideal, and
-    the run itself uses a fixed pair strategy (ascending weighted degree of
-    the pair lcm, then the lcm itself, then indices). The working basis is
+    Deterministic: the reduced basis is unique for the ideal, and the run
+    uses a fixed pair strategy (ascending order key of the pair lcm, which
+    starts with its weighted degree, then indices). The working basis is
     kept in reducer form: primitive integer polynomials over QQ, monic ones
     over GF(p).
     """
     polys = [g for g in gens if g is not None and not g.is_zero]
+    basis = []
+    if isinstance(ring, GradedRing):
+        rels = ring.cached(("relation_reducers",), lambda: tuple(map(_reducer, ring.relations)))
+        basis, ring = list(rels), ring.ambient
     if ring is None:
         if not polys:
             raise ValueError("a ring is required for an empty generating set")
@@ -241,7 +240,7 @@ def buchberger(gens, ring: PolyRing | None = None) -> GroebnerBasis:
         if g.ring is not ring and g.ring != ring:
             raise ValueError("generators belong to different rings")
 
-    basis = [_reducer(g) for g in polys]
+    basis += map(_reducer, polys)
     lms = [b[0] for b in basis]
     key = ring.key
 
@@ -252,7 +251,7 @@ def buchberger(gens, ring: PolyRing | None = None) -> GroebnerBasis:
         if i > j:
             i, j = j, i
         big = mono_lcm(lms[i], lms[j])
-        heapq.heappush(heap, (ring.wdeg(big), key(big), i, j))
+        heapq.heappush(heap, (key(big), i, j))
         pending.add((i, j))
 
     for j in range(len(basis)):
@@ -260,7 +259,7 @@ def buchberger(gens, ring: PolyRing | None = None) -> GroebnerBasis:
             push(i, j)
 
     while heap:
-        _, _, i, j = heapq.heappop(heap)
+        _, i, j = heapq.heappop(heap)
         if (i, j) not in pending:
             continue
         pending.discard((i, j))
@@ -269,18 +268,14 @@ def buchberger(gens, ring: PolyRing | None = None) -> GroebnerBasis:
             continue  # coprime leading monomials: S-poly reduces to zero
         # chain criterion: some other element divides the lcm and both
         # companion pairs were already treated
-        skip = False
-        for k in range(len(basis)):
-            if k == i or k == j:
-                continue
-            if not mono_divides(lms[k], big):
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a not in pending and b not in pending:
-                skip = True
-                break
-        if skip:
+        if any(
+            k != i
+            and k != j
+            and all(map(le, lk, big))
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            for k, lk in enumerate(lms)
+        ):
             continue
         # the remainder's scale does not matter: it is made primitive (monic)
         r, _ = _divide(ring, _s_terms(ring, basis[i], basis[j], big)[0], 1, basis)

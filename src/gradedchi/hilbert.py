@@ -89,10 +89,14 @@ class DimMult(NamedTuple):
 
 @dataclass(frozen=True)
 class HilbertSeries:
-    """Hilbert series as an integer numerator over prod_i (1 - t^{d_i})."""
+    """Hilbert series as an integer numerator over prod_i (1 - t^{d_i}), with
+    the weights sorted, so the variables' order does not change equality."""
 
     numerator: IntPoly
     weights: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "weights", tuple(sorted(self.weights)))
 
     @property
     def is_zero(self) -> bool:

@@ -62,12 +62,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from types import MappingProxyType
 
 from .errors import AlgebraError
 from .groebner import GroebnerBasis, reduce_against
 from .linalg import EchelonSpan, kernel_of_columns
-from .rings import GradedRing, Poly, homogeneous_gens, ideal_key, mono_mul, wdeg
+from .rings import GradedRing, Poly, homogeneous_gens, ideal_key, wdeg
 
 
 class GradedBasis:
@@ -168,7 +169,7 @@ class GradedBasis:
         """Normal form of (monomial u) * p; p need not be reduced."""
         acc: dict = {}
         for v, c in p.terms.items():
-            for m2, c2 in self.nf_monomial(mono_mul(u, v)):
+            for m2, c2 in self.nf_monomial(tuple(map(add, u, v))):
                 acc[m2] = acc.get(m2, 0) + c * c2
         return Poly(self.ring, acc)
 
@@ -239,7 +240,7 @@ def _image_columns(rb: GradedBasis, elems, pairs, tgt_degs, j: int) -> list:
         col: dict = {}
         for h, v, c in elems[g]:
             off, idx = where[h]
-            for m2, c2 in rb.nf_monomial(mono_mul(u, v)):
+            for m2, c2 in rb.nf_monomial(tuple(map(add, u, v))):
                 k = off + idx[m2]
                 col[k] = col.get(k, 0) + c * c2
         cols.append({k: x for k, x in col.items() if x})

@@ -17,7 +17,7 @@ value is.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, mul, neg
+from operator import add, le, mul, neg, sub
 
 from .errors import AlgebraError, HomogeneityError
 
@@ -31,16 +31,16 @@ def mono_mul(a, b):
 
 def mono_divides(a, b):
     """True if a | b, i.e. a <= b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a, b):
     """a / b for b | a."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_is_one(m):
@@ -54,7 +54,7 @@ def wdeg(m, ring) -> int:
         raise ValueError(
             f"monomial has {len(m)} exponents but the ring has {len(weights)} variables"
         )
-    return sum(e * w for e, w in zip(m, weights))
+    return sum(map(mul, m, weights))
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +495,7 @@ class GradedRing:
 
         gens = tuple(gens)
         _check_members(self.ambient, gens)
-        return self.cached(
-            ("groebner", ideal_key(gens)), lambda: buchberger(self.relations + gens, self.ambient)
-        )
+        return self.cached(("groebner", ideal_key(gens)), lambda: buchberger(gens, self))
 
     def canonical_key(self):
         return (self.ambient, tuple(sorted(r.canonical_key() for r in self.relations)))

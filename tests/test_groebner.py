@@ -69,6 +69,22 @@ def test_buchberger_empty_needs_ring():
         buchberger(())
 
 
+def test_buchberger_over_graded_ring_puts_relations_in_reducer_form_once(monkeypatch):
+    import gradedchi.groebner as gr
+
+    r = _ring3()
+    x, y, z = r.gens()
+    rels = (x * y - z * z, y**3 - x * z * z)
+    R = GradedRing(r, rels)
+    calls = []
+    real = gr._reducer
+    monkeypatch.setattr(gr, "_reducer", lambda p: calls.append(p) or real(p))
+    for gens in ((x * x,), (y * z - x * x, r.zero()), ()):
+        assert list(buchberger(gens, R)) == list(buchberger(rels + gens, r))
+    # once per direct run, and once for all three runs over the graded ring
+    assert calls.count(rels[0]) == 3 + 1
+
+
 def test_buchberger_mixed_rings_rejected():
     r1, r2 = _ring3(), PolyRing(("a", "b"))
     with pytest.raises(ValueError, match="different rings"):

@@ -132,6 +132,8 @@ def test_hilbert_series_order_independent():
         hs_moved = hilbert_series(GradedRing(moved_ring, ()), moved)
         assert hs_moved.numerator == hs.numerator
         assert hs_moved.rational() == hs.rational()
+        assert hs_moved == hs
+        assert hash(hs_moved) == hash(hs)
         leads = {move(m) for m in buchberger(polys).leading_monomials()}
         leads_moved += leads != set(buchberger(moved).leading_monomials())
     assert leads_moved > 0

@@ -37,6 +37,30 @@ def test_mono_ops():
     assert wdeg((2, 1, 0), (1, 2, 3)) == 4
 
 
+def test_mono_ops_match_elementwise_reference():
+    rng = random.Random(1830)
+    seen = {"zero": 0, "equal": 0, "divides": 0, "not_divides": 0}
+    for _ in range(500):
+        n = rng.randrange(1, 7)
+        a = tuple(rng.choice([0, 0, 1, 2, 5]) for _ in range(n))
+        b = a if rng.random() < 0.1 else tuple(rng.choice([0, 0, 1, 3]) for _ in range(n))
+        weights = tuple(rng.randrange(1, 4) for _ in range(n))
+        divides = all(a[k] <= b[k] for k in range(n))
+        seen["zero"] += 0 in a
+        seen["equal"] += a == b
+        seen["divides" if divides else "not_divides"] += 1
+        assert mono_mul(a, b) == tuple(a[k] + b[k] for k in range(n))
+        assert mono_lcm(a, b) == tuple(max(a[k], b[k]) for k in range(n))
+        assert mono_divides(a, b) is divides
+        if divides:
+            assert mono_div(b, a) == tuple(b[k] - a[k] for k in range(n))
+        assert wdeg(a, weights) == sum(a[k] * weights[k] for k in range(n))
+        assert wdeg(a, PolyRing([f"x{k}" for k in range(n)], weights)) == wdeg(a, weights)
+        with pytest.raises(ValueError, match="exponents but the ring has"):
+            wdeg(a + (0,), weights)
+    assert min(seen.values()) > 20, seen
+
+
 def test_fields():
     assert field_from_name("qq") is QQ
     f7 = field_from_name("fp:7")
