@@ -4,7 +4,28 @@ The output basis is the reduced Groebner basis (monic, self-reduced, sorted
 by leading monomial), which is unique for a given ideal, so every downstream
 computation is deterministic. Pair selection follows the normal strategy
 (smallest weighted-degree lcm first) with Buchberger's coprime and chain
-criteria.
+criteria, and with a Hilbert criterion (Traverso, "Hilbert functions and the
+Buchberger algorithm", JSC 22, 1996) when every weight is 1, every input
+form (relations included) is homogeneous of positive degree, and there are
+r <= n of them.
+
+The Hilbert criterion rests on a lower bound. For forms f_1, ..., f_r of
+degrees d_i in n >= r variables, dim (S/I)_d >= the coefficient of t^d in
+prod_i (1 - t^{d_i}) / (1 - t)^n, for every d. Proof: I_d is the image of
+the map (a_i) -> sum_i a_i f_i from the sum of the S_{d - d_i} to S_d. Its
+rank, which does not change over the algebraic closure of the field, is at
+most the map's generic rank there: the tuples of forms where the rank
+reaches its maximum form a nonempty open set, where some minor of that size
+does not vanish. The regular sequences of degrees d_i form another nonempty
+open set, which contains x_1^{d_1}, ..., x_r^{d_r}; two nonempty open sets
+of an affine space meet, so the generic rank is the rank a complete
+intersection has, and the complete intersection's quotient has the series
+above. The loop keeps the number of standard monomials of the current
+leading ideal L in the degree d it has reached. Since L lies in the leading
+ideal of I, that count is at least dim (S/I)_d, so once it equals the bound,
+L agrees with the leading ideal of I in degree d, and every S-pair of degree
+d reduces to zero: a nonzero remainder would be an element of I whose lead
+lies outside L. Those pairs are dropped.
 
 Reduction is heap-ordered division (Monagan & Pearce, CASC 2007): each
 monomial's order key is computed once, when it enters the working
@@ -25,9 +46,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import add, le, mul, sub
 
+from .errors import AlgebraError
 from .rings import GradedRing, Poly, PolyRing, mono_divides, mono_lcm, mono_mul
 
 
@@ -216,6 +238,73 @@ def _s_terms(ring: PolyRing, rf, rg, big):
     return out, lcf * a
 
 
+class _StandardCount:
+    """The standard monomials of the working basis's leading ideal in one
+    degree, set against the complete-intersection bound (see the module
+    docstring). The pair loop enters degrees in ascending order, so when
+    degree d is built from degree d - 1 every lead of lower degree is final:
+    a monomial is standard when all of its one-variable divisors are and it
+    is no current lead of degree d. A degree with more standard monomials
+    than the working basis has terms would cost more to count than the
+    pairs it can drop; the count stops there (standard is None), and no
+    pair is dropped after it."""
+
+    __slots__ = ("nvars", "numerator", "degree", "standard", "bound")
+
+    def __init__(self, nvars: int, degrees):
+        num = [1]
+        for d in degrees:  # num *= 1 - t^d
+            num = [a - (num[k - d] if k >= d else 0) for k, a in enumerate(num + [0] * d)]
+        self.nvars = nvars
+        self.numerator = num
+        self.degree = 0
+        self.standard = {(0,) * nvars}
+        self.bound = 1
+
+    def met(self, d: int, basis) -> bool:
+        """True when the standard monomials of degree d are as few as the
+        bound allows, so every S-pair of degree d reduces to zero."""
+        n = self.nvars
+        while self.degree < d and self.standard is not None:
+            self.degree += 1
+            leads = {b[0] for b in basis if sum(b[0]) == self.degree}
+            prev, cur = self.standard, set()
+            for m in prev:
+                last = n - 1
+                while last and not m[last]:
+                    last -= 1
+                for i in range(last, n):
+                    mm = m[:i] + (m[i] + 1,) + m[i + 1 :]
+                    # the divisors mm / x_j with j < i; mm / x_i is m
+                    if mm not in leads and all(
+                        mm[:j] + (mm[j] - 1,) + mm[j + 1 :] in prev for j in range(i) if mm[j]
+                    ):
+                        cur.add(mm)
+            if len(cur) > sum(1 + len(b[2]) for b in basis):
+                self.standard = None
+                break
+            self.standard = cur
+            self.bound = sum(
+                c * comb(self.degree - k + n - 1, n - 1)
+                for k, c in enumerate(self.numerator[: self.degree + 1])
+            )
+            self._check()
+        return self.standard is not None and len(self.standard) == self.bound
+
+    def remove(self, lm):
+        """Drop the lead of a new basis element of the current degree."""
+        if self.standard is not None:
+            self.standard.discard(lm)
+            self._check()
+
+    def _check(self):
+        if len(self.standard) < self.bound:
+            raise AlgebraError(
+                f"{len(self.standard)} standard monomials in degree {self.degree}, "
+                f"below the complete-intersection bound {self.bound}"
+            )
+
+
 def buchberger(gens, ring: PolyRing | GradedRing | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens; over a
     GradedRing, of its relations (first, in reducer form built once in its
@@ -223,9 +312,12 @@ def buchberger(gens, ring: PolyRing | GradedRing | None = None) -> GroebnerBasis
 
     Deterministic: the reduced basis is unique for the ideal, and the run
     uses a fixed pair strategy (ascending order key of the pair lcm, which
-    starts with its weighted degree, then indices). The working basis is
-    kept in reducer form: primitive integer polynomials over QQ, monic ones
-    over GF(p).
+    starts with its weighted degree, then indices). Pairs are dropped by the
+    coprime and chain criteria and, where it applies, by the Hilbert
+    criterion of the module docstring, which raises AlgebraError should the
+    standard monomials of a degree ever fall below their bound. The working
+    basis is kept in reducer form: primitive integer polynomials over QQ,
+    monic ones over GF(p).
     """
     polys = [g for g in gens if g is not None and not g.is_zero]
     basis = []
@@ -243,6 +335,11 @@ def buchberger(gens, ring: PolyRing | GradedRing | None = None) -> GroebnerBasis
     basis += map(_reducer, polys)
     lms = [b[0] for b in basis]
     key = ring.key
+    count = None
+    if len(basis) <= ring.nvars and all(w == 1 for w in ring.weights):
+        degrees = [sum(lm) for lm in lms]
+        if all(d and all(sum(m) == d for m, _ in b[2]) for d, b in zip(degrees, basis)):
+            count = _StandardCount(ring.nvars, degrees)
 
     heap: list = []
     pending: set[tuple[int, int]] = set()
@@ -266,6 +363,8 @@ def buchberger(gens, ring: PolyRing | GradedRing | None = None) -> GroebnerBasis
         big = mono_lcm(lms[i], lms[j])
         if big == mono_mul(lms[i], lms[j]):
             continue  # coprime leading monomials: S-poly reduces to zero
+        if count is not None and count.met(sum(big), basis):
+            continue  # the leading ideal is complete in this degree
         # chain criterion: some other element divides the lcm and both
         # companion pairs were already treated
         if any(
@@ -284,6 +383,8 @@ def buchberger(gens, ring: PolyRing | GradedRing | None = None) -> GroebnerBasis
         lm = next(iter(r))  # the remainder's terms are in descending order
         basis.append(_make_reducer(ring, lm, r))
         lms.append(lm)
+        if count is not None:
+            count.remove(lm)
         k = len(basis) - 1
         for i2 in range(k):
             push(i2, k)

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import lcm
+from operator import add
 
 from .arith import IntPoly, RatFun, ratfun_normalize
 from .errors import SessionError
@@ -354,42 +355,71 @@ class _Parser:
                 return p
 
     def parse_term(self) -> Poly:
-        p = self.parse_factor()
-        while self.at_sym("*"):
+        """A product of factors. Numbers and variable powers multiply into
+        one coefficient and one exponent tuple, made into a Poly once; a
+        factor with parentheses is a Poly, multiplied in by Poly products."""
+        coeff, exps, poly = 1, (0,) * self.ambient.nvars, None
+        while True:
+            f = self._factor()
+            if isinstance(f, Poly):
+                poly = f if poly is None else poly * f
+            else:
+                coeff *= f[0]
+                exps = tuple(map(add, exps, f[1]))
+            if not self.at_sym("*"):
+                break
             self.advance()
-            p = p * self.parse_factor()
-        return p
+        term = Poly(self.ambient, {exps: self.ambient.field.coerce(coeff)})
+        return term if poly is None else term * poly
 
     def parse_factor(self) -> Poly:
+        f = self._factor()
+        return f if isinstance(f, Poly) else self.ambient.monomial(f[1], f[0])
+
+    def _factor(self):
+        """A signed atom with its powers: a (coefficient, exponents) pair
+        for a number or a variable, a Poly for a parenthesised sum. The
+        coefficient is an int or a Fraction, reduced mod p over GF(p), where
+        its powers are taken mod p too."""
         if self.at_sym("-"):
             self.advance()
-            return -self.parse_factor()
-        base = self.parse_atom()
+            f = self._factor()
+            return -f if isinstance(f, Poly) else (-f[0], f[1])
+        base = self._atom()
         while self.at_sym("^"):
             self.advance()
             e = self.expect_int("an exponent")
-            base = base**e
+            if isinstance(base, Poly):
+                base = base**e
+            else:
+                p = self.ambient.field.p
+                c = pow(base[0], e, p) if p else base[0] ** e
+                base = (c, tuple(a * e for a in base[1]))
         return base
 
-    def parse_atom(self) -> Poly:
+    def _atom(self):
         t = self.advance()
         if t.kind == "INT":
             v = int(t.value)
+            field = self.ambient.field
             if self.at_sym("/") and self.toks[self.pos + 1].kind == "INT":
                 self.advance()
                 d = self.expect_int("a denominator")
-                field = self.ambient.field
                 if d == 0 or field.p and Fraction(v, d).denominator % field.p == 0:
                     raise SessionError(
                         f"division by zero in a coefficient over {field!r}", t.line, t.col
                     )
-                return self.ambient.constant(Fraction(v, d))
-            return self.ambient.constant(v)
+                v = Fraction(v, d)
+            if field.p:
+                v = field.coerce(v)
+            return v, (0,) * self.ambient.nvars
         if t.kind == "IDENT":
             idx = self.var_index.get(t.value)
             if idx is None:
                 raise SessionError(f"unknown variable {t.value!r}", t.line, t.col)
-            return self.ambient.gen(idx)
+            exps = [0] * self.ambient.nvars
+            exps[idx] = 1
+            return 1, tuple(exps)
         if t.kind == "SYM" and t.value == "(":
             p = self.parse_sum()
             self.expect_sym(")")

@@ -11,6 +11,8 @@ reference for the faster one. The Z[t] routines are the Fraction-based
 gcd, exact division and (1 - t)-valuation that arith's fraction-free
 division replaced. full_column_pass eliminates every product column of a
 resolution step, the reference for the columns the resolution skips.
+plain_buchberger is the pair loop with the coprime and chain criteria only,
+the reference for the pairs the Hilbert criterion drops.
 
 Nothing here imports gradedchi at module level: the benchmark harness
 imports this file without the library on its path.
@@ -122,6 +124,21 @@ def quotient_piece_dim(weights, gen_dicts, j):
 def quotient_dims(weights, gen_dicts, n):
     """Graded dimensions of S/(gens) through degree n."""
     return [quotient_piece_dim(weights, gen_dicts, j) for j in range(n + 1)]
+
+
+def complete_intersection_dims(degrees, n, top):
+    """Coefficients through t^top of prod(1 - t^d for d in degrees) / (1 - t)^n:
+    the graded dimensions of a complete intersection of forms of those
+    degrees in n standard-graded variables."""
+    coeffs = [0] * (top + 1)
+    coeffs[0] = 1
+    for d in degrees:
+        for k in range(top, d - 1, -1):
+            coeffs[k] -= coeffs[k - d]
+    for _ in range(n):
+        for k in range(1, top + 1):
+            coeffs[k] += coeffs[k - 1]
+    return coeffs
 
 
 def series_product_check(numerator_coeffs, weights, dims):
@@ -488,3 +505,73 @@ def full_column_pass(cols, p=0, before=()):
         insert(r)
     zero = [not insert(c) for c in cols]
     return zero.count(False), zero
+
+
+# ---------------------------------------------------------------------------
+# Buchberger without the Hilbert criterion
+
+
+def plain_buchberger(gens, ring=None):
+    """groebner.buchberger's pair loop with the coprime and chain criteria
+    only: every other pair is reduced, whatever the Hilbert function says.
+    Takes the same arguments and returns the same GroebnerBasis; it looks up
+    groebner's division helpers when called, so a counter wrapped around
+    groebner._divide sees its reductions too."""
+    import heapq
+    from operator import le
+
+    from gradedchi import groebner
+    from gradedchi.rings import GradedRing, mono_lcm, mono_mul
+
+    polys = [g for g in gens if g is not None and not g.is_zero]
+    basis = []
+    if isinstance(ring, GradedRing):
+        basis, ring = list(map(groebner._reducer, ring.relations)), ring.ambient
+    if ring is None:
+        ring = polys[0].ring
+    basis += map(groebner._reducer, polys)
+    lms = [b[0] for b in basis]
+    key = ring.key
+
+    heap = []
+    pending = set()
+
+    def push(i, j):
+        if i > j:
+            i, j = j, i
+        big = mono_lcm(lms[i], lms[j])
+        heapq.heappush(heap, (key(big), i, j))
+        pending.add((i, j))
+
+    for j in range(len(basis)):
+        for i in range(j):
+            push(i, j)
+
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        if (i, j) not in pending:
+            continue
+        pending.discard((i, j))
+        big = mono_lcm(lms[i], lms[j])
+        if big == mono_mul(lms[i], lms[j]):
+            continue
+        if any(
+            k != i
+            and k != j
+            and all(map(le, lk, big))
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            for k, lk in enumerate(lms)
+        ):
+            continue
+        r, _ = groebner._divide(ring, groebner._s_terms(ring, basis[i], basis[j], big)[0], 1, basis)
+        if not r:
+            continue
+        lm = next(iter(r))
+        basis.append(groebner._make_reducer(ring, lm, r))
+        lms.append(lm)
+        k = len(basis) - 1
+        for i2 in range(k):
+            push(i2, k)
+
+    return groebner.GroebnerBasis(ring, groebner._interreduce(basis, ring))

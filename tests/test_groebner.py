@@ -8,6 +8,7 @@ import pytest
 from gradedchi.errors import AlgebraError
 from gradedchi.groebner import (
     MonomialIdeal,
+    _StandardCount,
     _reducer,
     _s_terms,
     _scaled_poly,
@@ -20,9 +21,12 @@ from gradedchi.groebner import (
 from gradedchi.rings import QQ, GradedRing, Poly, PolyRing, PrimeField, field_from_name, mono_lcm
 
 from oracles import (
+    complete_intersection_dims,
     monomials_of_degree,
     mul_s_polynomial,
+    plain_buchberger,
     poly_to_dict,
+    quotient_dims,
     quotient_piece_dim,
     random_homogeneous_poly,
     scan_reduce_against,
@@ -360,6 +364,185 @@ def test_s_polynomial_matches_multiply_oracle():
         _assert_field_coefficients(s)
 
 
+_FIELDS = (QQ, PrimeField(2), PrimeField(7), PrimeField(32003))
+
+
+def _dense_form(rng, ring, deg):
+    """Every monomial of the degree, each with a random nonzero coefficient."""
+    return Poly(
+        ring,
+        {
+            m: ring.field.coerce(rng.choice([-3, -2, -1, 1, 2, 3]))
+            for m in monomials_of_degree(ring.weights, deg)
+        },
+    )
+
+
+def _random_forms(rng, ring, r, dense):
+    """r homogeneous forms of degrees 1 to 3, dense or sparse; now and then
+    the last one repeats the first, or is a multiple of it."""
+    forms = []
+    while len(forms) < r:
+        deg = rng.randrange(1, 4)
+        f = _dense_form(rng, ring, deg) if dense else random_homogeneous_poly(rng, ring, deg)
+        if f is not None:
+            forms.append(f)
+    if r > 1 and rng.random() < 0.3:
+        x, y = ring.gen(0), ring.gen(ring.nvars - 1)
+        forms[-1] = forms[0] if rng.random() < 0.5 else forms[0] * (x + 2 * y)
+    return forms
+
+
+class _DivideCounter:
+    """Wraps groebner._divide: counts the divisions and those whose
+    remainder is zero."""
+
+    def __init__(self, monkeypatch):
+        import gradedchi.groebner as gr
+
+        self.calls = self.zeros = 0
+        real = gr._divide
+
+        def counting(*args):
+            out = real(*args)
+            self.calls += 1
+            self.zeros += not out[0]
+            return out
+
+        monkeypatch.setattr(gr, "_divide", counting)
+
+    def run(self, fn, *args):
+        calls, zeros = self.calls, self.zeros
+        gb = fn(*args)
+        return gb, self.calls - calls, self.zeros - zeros
+
+
+def _assert_same_basis(gb, ref):
+    assert gb.ring == ref.ring
+    assert gb.reducers == ref.reducers
+    assert [list(g.terms.items()) for g in gb] == [list(g.terms.items()) for g in ref]
+
+
+def test_hilbert_criterion_matches_plain_buchberger(monkeypatch):
+    # the Hilbert criterion only drops pairs that reduce to zero, so the
+    # working basis, and with it the reduced basis, is the oracle's; the
+    # divisions it skips are exactly zero reductions
+    counter = _DivideCounter(monkeypatch)
+    rng = random.Random(4078)
+    saved = {True: 0, False: 0}
+    for trial in range(400):
+        field = _FIELDS[trial % 4]
+        nv = rng.randrange(2, 5)
+        ring = PolyRing(tuple(f"x{i}" for i in range(nv)), field=field)
+        dense = rng.random() < 0.5
+        r = rng.randrange(1, nv + 3)
+        forms = _random_forms(rng, ring, r, dense)
+        if rng.random() < 0.5:
+            k = rng.randrange(0, r + 1)
+            args = (forms[k:], GradedRing(ring, forms[:k]))
+        else:
+            args = (forms, ring)
+        gb, calls, zeros = counter.run(buchberger, *args)
+        ref, ref_calls, ref_zeros = counter.run(plain_buchberger, *args)
+        _assert_same_basis(gb, ref)
+        assert calls - zeros == ref_calls - ref_zeros
+        assert zeros <= ref_zeros
+        if r <= nv:
+            saved[dense] += ref_zeros - zeros
+        else:
+            assert zeros == ref_zeros
+    # dense sequences of at most n forms skip zero reductions
+    assert saved[True] > 0
+
+
+def test_hilbert_criterion_off_path_is_plain_loop(monkeypatch):
+    # weighted rings, more forms than variables and a degree-0 generator
+    # take the plain loop: no count is built and every division is the oracle's
+    import gradedchi.groebner as gr
+
+    def no_count(*args):
+        raise AssertionError("the Hilbert criterion does not apply here")
+
+    counter = _DivideCounter(monkeypatch)
+    monkeypatch.setattr(gr, "_StandardCount", no_count)
+    weighted = PolyRing(("x", "y", "z"), (1, 1, 2))
+    x, y, z = weighted.gens()
+    planes = PolyRing(("x", "y", "z", "w"))
+    a, b, c, d = planes.gens()
+    two_planes = GradedRing(planes, (a * c, a * d, b * c, b * d))
+    for field in _FIELDS:
+        r3 = PolyRing(("x", "y", "z"), field=field)
+        u, v, w = r3.gens()
+        cases = [
+            ((x * x - z, x * y + z, y**4 - z * z), weighted),
+            ((a, b, d), two_planes),
+            ((u * v - w * w, r3.constant(3), u * u), r3),
+            ((u * v - w * w, u + r3.one()), r3),
+        ]
+        for gens, ring in cases:
+            gb, calls, zeros = counter.run(buchberger, gens, ring)
+            ref, ref_calls, ref_zeros = counter.run(plain_buchberger, gens, ring)
+            _assert_same_basis(gb, ref)
+            assert (calls, zeros) == (ref_calls, ref_zeros)
+    assert buchberger((u * v - w * w, r3.constant(3), u * u)).generators == (r3.one(),)
+
+
+def test_complete_intersection_bound_holds():
+    # the theorem behind the Hilbert criterion, checked with the dense rank
+    # oracle alone: r <= n forms, regular or not, leave at least the
+    # complete intersection's dimensions, and x_i^{d_i} leave exactly those
+    rng = random.Random(4079)
+    strict = 0
+    for trial in range(18):
+        nv = rng.randrange(2, 5)
+        ring = PolyRing(tuple(f"x{i}" for i in range(nv)))
+        r = rng.randrange(1, nv + 1)
+        forms = _random_forms(rng, ring, r, dense=rng.random() < 0.5)
+        if trial % 3 == 0 and r > 1:
+            # not regular: two forms share a factor
+            forms[1] = forms[0] * ring.gen(rng.randrange(nv))
+        degrees = [f.homogeneous_degree() for f in forms]
+        bound = complete_intersection_dims(degrees, nv, 6)
+        dims = quotient_dims((1,) * nv, [poly_to_dict(f) for f in forms], 6)
+        assert all(a >= b for a, b in zip(dims, bound)), (forms, dims, bound)
+        strict += dims != bound
+        powers = [ring.gen(i) ** e for i, e in enumerate(degrees)]
+        assert quotient_dims((1,) * nv, [poly_to_dict(f) for f in powers], 6) == bound
+    # some sequences are not regular and stay strictly above the bound
+    assert strict > 0
+
+
+def test_standard_count_stops_on_sparse_high_degree_input(monkeypatch):
+    # two binomials whose leads meet in degree 30: counting the standard
+    # monomials up to there would enumerate some 300,000 of them for one
+    # S-pair, so the count stops in degree 1, where they outnumber the
+    # basis's four terms
+    import gradedchi.groebner as gr
+
+    counts = []
+
+    class Recorded(gr._StandardCount):
+        def __init__(self, *args):
+            super().__init__(*args)
+            counts.append(self)
+
+    monkeypatch.setattr(gr, "_StandardCount", Recorded)
+    r = PolyRing(("x", "y", "z", "w", "v"))
+    x, y, z, w, v = r.gens()
+    gens = (x**10 * y**10 - z**20, x**10 * w**10 - v**20)
+    _assert_same_basis(buchberger(gens), plain_buchberger(gens))
+    (count,) = counts
+    assert count.standard is None and count.degree == 1
+
+
+def test_standard_count_below_bound_raises():
+    # a count below the bound contradicts the theorem; here the degrees
+    # handed to the count are not the forms' degrees
+    count = _StandardCount(2, (2, 2))
+    with pytest.raises(AlgebraError, match="below the complete-intersection bound"):
+        count.met(1, [((1, 0), 1, ())])
+
+
 def _to_sympy(g, syms, sympy):
     expr = 0
     for m, c in g.terms.items():
@@ -435,6 +618,15 @@ def test_buchberger_matches_sympy_groebner():
         for g in gb:
             assert g.terms[g.leading_monomial()] == 1
             _assert_field_coefficients(g)
+    # dense sequences of at most n forms, where the Hilbert criterion
+    # drops pairs
+    rng = random.Random(4080)
+    for trial in range(20):
+        nv = rng.randrange(2, 5)
+        field = rng.choice([QQ, PrimeField(32003)])
+        r = PolyRing(tuple(f"x{i}" for i in range(nv)), field=field)
+        gens = [_dense_form(rng, r, rng.randrange(1, 4)) for _ in range(rng.randrange(2, nv + 1))]
+        _assert_matches_sympy(gens, r, sympy)
     # small characteristic
     rng = random.Random(4077)
     for trial in range(60):

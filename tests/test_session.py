@@ -198,6 +198,93 @@ def test_polynomial_round_trip_randomized():
         assert parse_polynomial(str(p), r) == p
 
 
+def _random_expression(rng, r, depth):
+    """(text, value) of a random expression: terms of signed factors with
+    powers, fractions and parenthesised sums; the value is built by Poly
+    arithmetic, the generic path the parser takes only for parentheses."""
+    p = r.field.p
+    dens = [d for d in (2, 3, 5) if not p or d % p]
+
+    def atom():
+        k = rng.randrange(4 if depth else 3)
+        if k == 0:
+            v = rng.randrange(10)
+            return str(v), r.constant(v)
+        if k == 1:
+            v, d = rng.randrange(10), rng.choice(dens)
+            return f"{v}/{d}", r.constant(Fraction(v, d))
+        if k == 2:
+            i = rng.randrange(r.nvars)
+            return r.names[i], r.gen(i)
+        text, value = _random_expression(rng, r, depth - 1)
+        return f"({text})", value
+
+    def factor():
+        if rng.random() < 0.2:
+            text, value = factor()
+            return f"-{text}" if text[0] != "-" else f"- {text}", -value
+        text, value = atom()
+        for _ in range(rng.choice((0, 0, 1, 1, 2))):
+            e = rng.randrange(4)
+            text, value = f"{text}^{e}", value**e
+        return text, value
+
+    def term():
+        text, value = factor()
+        for _ in range(rng.randrange(3)):
+            t, v = factor()
+            text, value = f"{text}*{t}", value * v
+        return text, value
+
+    text, value = term()
+    for _ in range(rng.randrange(3)):
+        t, v = term()
+        if rng.random() < 0.5:
+            text, value = f"{text} + {t}", value + v
+        else:
+            text, value = f"{text} - {t}", value - v
+    return text, value
+
+
+def test_parsed_terms_match_poly_arithmetic():
+    # numbers and variable powers are multiplied into one term directly;
+    # the value, and its coefficients' types, are those of Poly arithmetic
+    rng = random.Random(3132)
+    for field in ("qq", "fp:2", "fp:7", "fp:32003"):
+        r = PolyRing(("x", "y", "z"), field=field_from_name(field))
+        for _ in range(150):
+            text, value = _random_expression(rng, r, 2)
+            parsed = parse_polynomial(text, r)
+            assert parsed == value, text
+            assert [type(c) for c in parsed.terms.values()] == [
+                type(value.terms[m]) for m in parsed.terms
+            ]
+
+
+def test_polynomial_error_messages_and_positions():
+    cases = (
+        ("x + q", "qq", "line 1, col 5: unknown variable 'q'"),
+        ("2*x^", "qq", "line 1, col 5: expected an exponent, found end of input"),
+        ("2*(x + y", "qq", "line 1, col 9: expected ')', found end of input"),
+        ("x * * y", "qq", "line 1, col 5: expected a polynomial, found '*'"),
+        ("1/0*x", "qq", "line 1, col 1: division by zero in a coefficient over QQ"),
+        ("x + 3/14*y", "fp:7", "line 1, col 5: division by zero in a coefficient over GF(7)"),
+        ("x^y", "qq", "line 1, col 3: expected an exponent, found 'y'"),
+        ("-", "qq", "line 1, col 2: expected a polynomial, found end of input"),
+        ("2*x)", "qq", "line 1, col 4: trailing input after polynomial: ')'"),
+        ("-(x + -q)^2", "qq", "line 1, col 8: unknown variable 'q'"),
+        ("3 * x^2 * - 1/4^", "fp:2", "line 1, col 13: division by zero in a coefficient over GF(2)"),
+        ("x*y*z*(", "qq", "line 1, col 8: expected a polynomial, found end of input"),
+        ("1/2/3*x", "fp:3", "line 1, col 4: trailing input after polynomial: '/'"),
+        ("x^-1", "qq", "line 1, col 3: expected an exponent, found '-'"),
+    )
+    for text, field, message in cases:
+        r = PolyRing(("x", "y", "z"), field=field_from_name(field))
+        with pytest.raises(SessionError) as ei:
+            parse_polynomial(text, r)
+        assert str(ei.value) == message
+
+
 def test_t_polynomial_and_ratfun_round_trip():
     from gradedchi.arith import IntPoly, ratfun_normalize
 
