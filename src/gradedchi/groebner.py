@@ -1,13 +1,21 @@
 """Buchberger's algorithm, normal forms, leading-term ideals, standard monomials.
 
-The output basis is the reduced Groebner basis (monic, self-reduced, sorted
-by leading monomial), which is unique for a given ideal, so every downstream
-computation is deterministic. Pair selection follows the normal strategy
-(smallest weighted-degree lcm first) with Buchberger's coprime and chain
-criteria, and with a Hilbert criterion (Traverso, "Hilbert functions and the
-Buchberger algorithm", JSC 22, 1996) when every weight is 1, every input
-form (relations included) is homogeneous of positive degree, and there are
-r <= n of them.
+Buchberger's loop works on leading monomials first. An S-polynomial is
+divided only until its leading term cannot be reduced; the rest of the
+working polynomial becomes the new element's tail, unreduced. The loop
+returns the minimal basis (sorted by leading monomial, no lead dividing
+another), which is all that division, leading ideals and Hilbert series
+need: normal forms against any Groebner basis of an ideal are the same. The
+reduced Groebner basis (monic, self-reduced, same order), unique for a given
+ideal, is built from the minimal one the first time GroebnerBasis.generators
+is read, so every computation is deterministic and none that reads only
+leads or normal forms pays for tail reduction.
+
+Pair selection follows the normal strategy (smallest weighted-degree lcm
+first) with Buchberger's coprime and chain criteria, and with a Hilbert
+criterion (Traverso, "Hilbert functions and the Buchberger algorithm", JSC
+22, 1996) when every weight is 1, every input form (relations included) is
+homogeneous of positive degree, and there are r <= n of them.
 
 The Hilbert criterion rests on a lower bound. For forms f_1, ..., f_r of
 degrees d_i in n >= r variables, dim (S/I)_d >= the coefficient of t^d in
@@ -38,7 +46,7 @@ dividing by lc_r. Reducers are primitive integer polynomials over QQ and
 monic over GF(p), where lc_r = 1 makes the same step rescale nothing; over
 GF(p) a coefficient is reduced mod p when it is read. `reduce_against`
 divides by the scale once per remainder term. A GroebnerBasis keeps its
-generators in reducer form, so dividing by a basis prepares no reducer.
+minimal basis in reducer form, so dividing by a basis prepares no reducer.
 """
 
 from __future__ import annotations
@@ -54,27 +62,40 @@ from .rings import GradedRing, Poly, PolyRing, mono_divides, mono_lcm, mono_mul
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis; generators are monic and sorted by leading monomial.
+    """A Groebner basis: minimal reducers for division, and the reduced
+    generators on first read.
 
-    Built by buchberger from the basis in reducer form (leading monomial,
-    integer lead, tail), which it keeps as reducers for division; the
-    generators are the same polynomials made monic.
+    reducers is the minimal basis buchberger returns, in reducer form
+    (leading monomial, integer lead, tail), sorted by leading monomial, no
+    lead dividing another; tails are not reduced. Division, leading
+    monomials and everything built on them read only these. generators is
+    the reduced Groebner basis, monic and in the same order: it is computed
+    from the reducers (each tail reduced against the other elements) the
+    first time it is read, or iterated or compared, and kept.
     """
 
-    __slots__ = ("ring", "generators", "reducers")
+    __slots__ = ("ring", "reducers", "_generators")
 
     def __init__(self, ring: PolyRing, reducers):
         self.ring = ring
         self.reducers = tuple(reducers)
-        self.generators = tuple(
-            _scaled_poly(ring, dict(((lm, lc), *tail)), lc) for lm, lc, tail in self.reducers
-        )
+        self._generators = None
+
+    @property
+    def generators(self):
+        if self._generators is None:
+            ring = self.ring
+            self._generators = tuple(
+                _scaled_poly(ring, dict(((lm, lc), *tail)), lc)
+                for lm, lc, tail in _tail_reduce(ring, self.reducers)
+            )
+        return self._generators
 
     def leading_monomials(self):
         return tuple(r[0] for r in self.reducers)
 
     def __len__(self):
-        return len(self.generators)
+        return len(self.reducers)
 
     def __iter__(self):
         return iter(self.generators)
@@ -119,7 +140,7 @@ def _make_reducer(ring: PolyRing, lm, terms: dict):
     """
     p = ring.field.p
     if p:
-        inv = ring.field.inv(terms[lm])
+        inv = pow(terms[lm], -1, p)
         return lm, 1, tuple((m, c * inv % p) for m, c in terms.items() if m != lm)
     g = gcd(*terms.values())
     if terms[lm] < 0:
@@ -133,7 +154,7 @@ def _reducer(r: Poly):
     return _make_reducer(r.ring, r.leading_monomial(), terms)
 
 
-def _divide(ring: PolyRing, work: dict, scale: int, reducers):
+def _divide(ring: PolyRing, work: dict, scale: int, reducers, lead_only=False):
     """The division core: reduce work / scale against reducer forms.
 
     work maps monomials to integers and is consumed. The first reducer (in
@@ -149,7 +170,9 @@ def _divide(ring: PolyRing, work: dict, scale: int, reducers):
 
     Returns (remainder, scale): the remainder's integer terms (residues over
     GF(p)) in descending monomial order, and the integer its true value is
-    scaled by.
+    scaled by. With lead_only, the division stops at the first term no
+    reducer lead divides: the remainder is that term, first, followed by
+    the rest of the working polynomial, unreduced and in no set order.
     """
     p = ring.field.p
     weights = ring.weights
@@ -169,6 +192,13 @@ def _divide(ring: PolyRing, work: dict, scale: int, reducers):
                 break
         else:
             remainder[lm] = c
+            if lead_only:
+                for m, v in work.items():
+                    if p:
+                        v %= p
+                    if v:
+                        remainder[m] = v
+                break
             continue
         q = tuple(map(sub, lm, lmr))
         g = gcd(c, lcr)
@@ -190,7 +220,9 @@ def _divide(ring: PolyRing, work: dict, scale: int, reducers):
 
 def reduce_against(p: Poly, reducers) -> Poly:
     """Full normal form of p against an ordered list of reducers, or against
-    a GroebnerBasis, whose generators are kept in reducer form.
+    a GroebnerBasis, whose minimal basis is kept in reducer form. Against a
+    Groebner basis the normal form depends only on the ideal, so dividing
+    by the minimal reducers gives what the reduced generators would.
 
     Every term of the result is divisible by no reducer leading monomial;
     the first reducer (in list order) whose leading monomial divides is used
@@ -306,18 +338,21 @@ class _StandardCount:
 
 
 def buchberger(gens, ring: PolyRing | GradedRing | None = None) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by gens; over a
-    GradedRing, of its relations (first, in reducer form built once in its
-    memo) and gens.
+    """A Groebner basis of the ideal generated by gens; over a GradedRing,
+    of its relations (first, in reducer form built once in its memo) and
+    gens. Its reducers are the minimal basis, its generators the reduced
+    basis, built when first read.
 
-    Deterministic: the reduced basis is unique for the ideal, and the run
-    uses a fixed pair strategy (ascending order key of the pair lcm, which
-    starts with its weighted degree, then indices). Pairs are dropped by the
-    coprime and chain criteria and, where it applies, by the Hilbert
-    criterion of the module docstring, which raises AlgebraError should the
-    standard monomials of a degree ever fall below their bound. The working
-    basis is kept in reducer form: primitive integer polynomials over QQ,
-    monic ones over GF(p).
+    Deterministic: the run uses a fixed pair strategy (ascending order key
+    of the pair lcm, which starts with its weighted degree, then indices).
+    Pairs are dropped by the coprime and chain criteria and, where it
+    applies, by the Hilbert criterion of the module docstring, which raises
+    AlgebraError should the standard monomials of a degree ever fall below
+    their bound. Each other S-polynomial is divided until its leading term
+    is irreducible, and joins the basis with its tail as it stands. The
+    working basis is kept in reducer form: primitive integer polynomials
+    over QQ, monic ones over GF(p). The minimal basis keeps, in order of
+    leading monomial, each element whose lead no kept lead divides.
     """
     polys = [g for g in gens if g is not None and not g.is_zero]
     basis = []
@@ -377,10 +412,10 @@ def buchberger(gens, ring: PolyRing | GradedRing | None = None) -> GroebnerBasis
         ):
             continue
         # the remainder's scale does not matter: it is made primitive (monic)
-        r, _ = _divide(ring, _s_terms(ring, basis[i], basis[j], big)[0], 1, basis)
+        r, _ = _divide(ring, _s_terms(ring, basis[i], basis[j], big)[0], 1, basis, lead_only=True)
         if not r:
             continue
-        lm = next(iter(r))  # the remainder's terms are in descending order
+        lm = next(iter(r))  # the irreducible lead comes first
         basis.append(_make_reducer(ring, lm, r))
         lms.append(lm)
         if count is not None:
@@ -389,26 +424,30 @@ def buchberger(gens, ring: PolyRing | GradedRing | None = None) -> GroebnerBasis
         for i2 in range(k):
             push(i2, k)
 
-    return GroebnerBasis(ring, _interreduce(basis, ring))
+    return GroebnerBasis(ring, _minimal(basis, ring))
 
 
-def _interreduce(basis, ring: PolyRing):
-    """Minimalize and tail-reduce a Groebner basis, given in reducer form,
-    into its reduced form, in reducer form sorted by leading monomial."""
-    key = ring.key
-    ordered = sorted(basis, key=lambda b: key(b[0]))
+def _minimal(basis, ring: PolyRing):
+    """The minimal basis of a Groebner basis in reducer form: sorted by
+    leading monomial, keeping each element whose lead no kept lead divides."""
     minimal: list = []
-    for b in ordered:
-        if any(mono_divides(h[0], b[0]) for h in minimal):
-            continue
-        minimal.append(b)
+    for b in sorted(basis, key=lambda b: ring.key(b[0])):
+        lm = b[0]
+        if not any(all(map(le, h[0], lm)) for h in minimal):
+            minimal.append(b)
+    return minimal
+
+
+def _tail_reduce(ring: PolyRing, minimal):
+    """The reduced Groebner basis, in reducer form and in the same order,
+    from a minimal one: each element's tail fully reduced against the
+    others. No other lead divides an element's lead, and no term below the
+    lead is divisible by it, so the lead stays and the result is reduced."""
     reduced = []
     for i, (lm, lc, tail) in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
         work = dict(tail)
         work[lm] = lc
-        # no other lead divides lm, so lm stays in the remainder
-        r, _ = _divide(ring, work, 1, others)
+        r, _ = _divide(ring, work, 1, minimal[:i] + minimal[i + 1 :])
         reduced.append(_make_reducer(ring, lm, r))
     return reduced
 

@@ -65,7 +65,11 @@ class EchelonSpan:
         """Residual of vec modulo the current row space, canonically scaled."""
         p = self.field.p
         if p:
-            v = {c: val % p for c, val in vec.items() if val % p}
+            v = {}
+            for c, val in vec.items():
+                val %= p
+                if val:
+                    v[c] = val
         else:
             v = _primitive_int_row(vec)
         while v:
@@ -97,8 +101,8 @@ class EchelonSpan:
         if not v:
             return {}
         if p:
-            inv = self.field.inv(v[lead])
-            return {c: val * inv % p for c, val in v.items()}
+            inv = pow(v[lead], -1, p)
+            return v if inv == 1 else {c: val * inv % p for c, val in v.items()}
         if v[lead] < 0:
             v = {c: -val for c, val in v.items()}
         return v

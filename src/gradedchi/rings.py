@@ -148,7 +148,7 @@ class PrimeField:
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -490,7 +490,8 @@ class GradedRing:
         return memo[key]
 
     def groebner(self, gens=()):
-        """Reduced Groebner basis of (relations + gens), memoised."""
+        """Groebner basis of (relations + gens), memoised: minimal reducers,
+        reduced generators on first read."""
         from .groebner import buchberger
 
         gens = tuple(gens)

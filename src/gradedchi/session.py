@@ -26,6 +26,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import lcm
 from operator import add
+from typing import NamedTuple
 
 from .arith import IntPoly, RatFun, ratfun_normalize
 from .errors import SessionError
@@ -35,8 +36,7 @@ _SYMBOLS = set("{}(),;:=+-*^/")
 _COMMANDS = ("hilbert", "chi", "tor", "check", "gulliksen", "cartier")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT, INT, FLAG, SYM, EOF
     value: str
     line: int

@@ -12,7 +12,10 @@ gcd, exact division and (1 - t)-valuation that arith's fraction-free
 division replaced. full_column_pass eliminates every product column of a
 resolution step, the reference for the columns the resolution skips.
 plain_buchberger is the pair loop with the coprime and chain criteria only,
-the reference for the pairs the Hilbert criterion drops.
+the reference for the pairs the Hilbert criterion drops. eager_buchberger is
+the same loop as it was before it stopped at the lead: every S-polynomial
+fully reduced, and the basis tail-reduced at the end, the reference for the
+reduced generators and normal forms of the leads-first loop.
 
 Nothing here imports gradedchi at module level: the benchmark harness
 imports this file without the library on its path.
@@ -508,15 +511,16 @@ def full_column_pass(cols, p=0, before=()):
 
 
 # ---------------------------------------------------------------------------
-# Buchberger without the Hilbert criterion
+# Buchberger without the Hilbert criterion, leads-first and eager
 
 
-def plain_buchberger(gens, ring=None):
+def _pair_loop(gens, ring, lead_only):
     """groebner.buchberger's pair loop with the coprime and chain criteria
-    only: every other pair is reduced, whatever the Hilbert function says.
-    Takes the same arguments and returns the same GroebnerBasis; it looks up
-    groebner's division helpers when called, so a counter wrapped around
-    groebner._divide sees its reductions too."""
+    only: every other pair is divided, whatever the Hilbert function says;
+    only until its lead with lead_only, fully without. Returns the working
+    basis in reducer form and the ring. It looks up groebner's division
+    helpers when called, so a counter wrapped around groebner._divide sees
+    its reductions too."""
     import heapq
     from operator import le
 
@@ -564,7 +568,8 @@ def plain_buchberger(gens, ring=None):
             for k, lk in enumerate(lms)
         ):
             continue
-        r, _ = groebner._divide(ring, groebner._s_terms(ring, basis[i], basis[j], big)[0], 1, basis)
+        s_terms = groebner._s_terms(ring, basis[i], basis[j], big)[0]
+        r, _ = groebner._divide(ring, s_terms, 1, basis, lead_only=lead_only)
         if not r:
             continue
         lm = next(iter(r))
@@ -573,5 +578,35 @@ def plain_buchberger(gens, ring=None):
         k = len(basis) - 1
         for i2 in range(k):
             push(i2, k)
+    return basis, ring
 
-    return groebner.GroebnerBasis(ring, groebner._interreduce(basis, ring))
+
+def plain_buchberger(gens, ring=None):
+    """groebner.buchberger without the Hilbert criterion: the leads-first
+    pair loop of _pair_loop, returning the minimal basis. Takes the same
+    arguments and returns the same GroebnerBasis."""
+    from gradedchi import groebner
+
+    basis, ring = _pair_loop(gens, ring, lead_only=True)
+    return groebner.GroebnerBasis(ring, groebner._minimal(basis, ring))
+
+
+def eager_buchberger(gens, ring=None):
+    """The pair loop with every S-polynomial fully reduced, then the basis
+    minimalized and tail-reduced: a GroebnerBasis whose reducers are already
+    the reduced basis, in order of leading monomial."""
+    from gradedchi import groebner
+    from gradedchi.rings import mono_divides
+
+    basis, ring = _pair_loop(gens, ring, lead_only=False)
+    minimal = []
+    for b in sorted(basis, key=lambda b: ring.key(b[0])):
+        if not any(mono_divides(h[0], b[0]) for h in minimal):
+            minimal.append(b)
+    reduced = []
+    for i, (lm, lc, tail) in enumerate(minimal):
+        work = dict(tail)
+        work[lm] = lc
+        r, _ = groebner._divide(ring, work, 1, minimal[:i] + minimal[i + 1 :])
+        reduced.append(groebner._make_reducer(ring, lm, r))
+    return groebner.GroebnerBasis(ring, reduced)

@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,7 @@ from gradedchi.rings import QQ, GradedRing, Poly, PolyRing, PrimeField, field_fr
 
 from oracles import (
     complete_intersection_dims,
+    eager_buchberger,
     monomials_of_degree,
     mul_s_polynomial,
     plain_buchberger,
@@ -403,8 +406,8 @@ class _DivideCounter:
         self.calls = self.zeros = 0
         real = gr._divide
 
-        def counting(*args):
-            out = real(*args)
+        def counting(*args, **kwargs):
+            out = real(*args, **kwargs)
             self.calls += 1
             self.zeros += not out[0]
             return out
@@ -425,7 +428,7 @@ def _assert_same_basis(gb, ref):
 
 def test_hilbert_criterion_matches_plain_buchberger(monkeypatch):
     # the Hilbert criterion only drops pairs that reduce to zero, so the
-    # working basis, and with it the reduced basis, is the oracle's; the
+    # working basis, and with it the minimal basis, is the oracle's; the
     # divisions it skips are exactly zero reductions
     counter = _DivideCounter(monkeypatch)
     rng = random.Random(4078)
@@ -533,6 +536,73 @@ def test_standard_count_stops_on_sparse_high_degree_input(monkeypatch):
     _assert_same_basis(buchberger(gens), plain_buchberger(gens))
     (count,) = counts
     assert count.standard is None and count.degree == 1
+
+
+def test_leads_first_basis_matches_eager_basis():
+    # the loop that stops each S-polynomial at its lead and returns the
+    # minimal basis against the old one that reduced fully and tail-reduced:
+    # same reduced generators, term for term, and same normal forms
+    rng = random.Random(4081)
+    unreduced = 0
+    for trial in range(300):
+        field = _FIELDS[trial % 4]
+        nv = rng.randrange(2, 5)
+        weights = tuple(rng.randrange(1, 4) for _ in range(nv)) if trial % 3 else (1,) * nv
+        ring = PolyRing(tuple(f"x{i}" for i in range(nv)), weights, field=field)
+        gens = [random_homogeneous_poly(rng, ring, rng.randrange(1, 5), 4) for _ in range(4)]
+        gens = [g for g in gens[: rng.randrange(1, 5)] if g is not None]
+        if not gens:
+            continue
+        if rng.random() < 0.3:
+            k = rng.randrange(0, len(gens) + 1)
+            args = (gens[k:], GradedRing(ring, gens[:k]))
+        else:
+            args = (gens, ring)
+        gb, eager = buchberger(*args), eager_buchberger(*args)
+        unreduced += gb.reducers != eager.reducers
+        # reducer form: monic residues over GF(p), primitive over QQ, and
+        # no zero term in a tail the division left unreduced
+        for _, lc, tail in gb.reducers:
+            cs = [c for _, c in tail]
+            if field.p:
+                assert lc == 1 and all(0 < c < field.p for c in cs)
+            else:
+                assert lc > 0 and all(cs) and gcd(lc, *cs) == 1
+        assert gb.leading_monomials() == eager.leading_monomials()
+        assert [list(g.terms.items()) for g in gb] == [list(g.terms.items()) for g in eager]
+        for _ in range(3):
+            f = random_homogeneous_poly(rng, ring, rng.randrange(1, 7), max_terms=5)
+            if f is not None:
+                ours, ref = reduce_against(f, gb), reduce_against(f, eager)
+                assert list(ours.terms.items()) == list(ref.terms.items())
+    # many minimal bases keep tails the eager loop reduced
+    assert unreduced > 50
+
+
+def test_closed_form_never_tail_reduces(monkeypatch, capsys):
+    # Hilbert series and normal forms read only the minimal reducers: the
+    # closed form, Cartier lengths and the Tor route all run with tail
+    # reduction switched off, and the bundled reports do not change
+    import gradedchi.groebner as gr
+    from gradedchi.chi import compute_chi
+    from gradedchi.cli import bundled_sessions, main
+    from gradedchi.session import parse_session
+
+    def no_tail_reduction(*args):
+        raise AssertionError("tail reduction on a path that reads no generator")
+
+    monkeypatch.setattr(gr, "_tail_reduce", no_tail_reduction)
+    chis = 0
+    for _, text in bundled_sessions():
+        s = parse_session(text, QQ)
+        for c in s.commands:
+            if c.kind == "chi":
+                compute_chi(s.ring, s.ideals[c.idents[0]], s.ideals[c.idents[1]])
+                chis += 1
+    assert chis == 5
+    assert main(["--run-paper-suite"]) == 0
+    golden = Path(__file__).parent / "goldens" / "paper_suite_qq.txt"
+    assert capsys.readouterr().out == golden.read_text()
 
 
 def test_standard_count_below_bound_raises():
