@@ -8,9 +8,9 @@ floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .errors import AlgebraError
 
@@ -248,8 +248,7 @@ INFINITY = Infinity()
 ExtendedValue = Fraction | Infinity
 
 
-@dataclass(frozen=True)
-class RatFun:
+class RatFun(NamedTuple):
     """A rational function num/den in lowest terms.
 
     Invariants (enforced by ratfun_normalize, the only sanctioned

@@ -13,8 +13,8 @@ whenever the intersection has finite length (Serre).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import (
     ExtendedValue,
@@ -38,8 +38,7 @@ class Trichotomy(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class ChiResult:
+class ChiResult(NamedTuple):
     """chi as a rational function together with everything read off from it."""
 
     chi: RatFun

@@ -2,19 +2,18 @@
 
 Text reports are byte-deterministic; JSON reports carry the same data with
 exact rationals rendered as strings. Exit codes: 0 success, 1 computation or
-validation error, 2 at least one failed check.
+validation error, 2 at least one failed check. argparse and importlib.resources
+load only in build_arg_parser and bundled_sessions, not on import.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .arith import Infinity, IntPoly, format_t_coeffs, format_t_poly, series_expand
 from .chi import chi_series, compute_chi, gulliksen_chi, qcartier_mult
@@ -25,8 +24,7 @@ from .rings import field_from_name
 from .session import Session, parse_session
 
 
-@dataclass(frozen=True)
-class RunOptions:
+class RunOptions(NamedTuple):
     imax: int = 8
     dmax: int = 16
     series_terms: int = 10
@@ -76,11 +74,13 @@ def describe_ring(ring) -> str:
 # report
 
 
-@dataclass
 class Report:
-    sections: list = dc_field(default_factory=list)  # (data dict, text lines)
-    check_failures: int = 0
-    error_message: str | None = None
+    __slots__ = ("sections", "check_failures", "error_message")
+
+    def __init__(self, sections=None, check_failures: int = 0, error_message: str | None = None):
+        self.sections = [] if sections is None else sections  # (data dict, text lines)
+        self.check_failures = check_failures
+        self.error_message = error_message
 
     @property
     def exit_code(self) -> int:
@@ -364,16 +364,18 @@ def run(session: Session, opts: RunOptions | None = None) -> Report:
 # entry point
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    # usage errors are validation errors here, so exit 1 rather than
-    # argparse's default 2 (reserved for failed checks)
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise SystemExit(1)
-
-
 def build_arg_parser() -> argparse.ArgumentParser:
+    # imported here, so that importing the library does not load argparse
+    import argparse
+
+    class _ArgumentParser(argparse.ArgumentParser):
+        # usage errors are validation errors here, so exit 1 rather than
+        # argparse's default 2 (reserved for failed checks)
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            sys.stderr.write(f"{self.prog}: error: {message}\n")
+            raise SystemExit(1)
+
     p = _ArgumentParser(
         prog="gradedchi",
         description="Exact Euler characteristic and intersection multiplicity "
@@ -403,6 +405,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def bundled_sessions():
     """(name, text) pairs for the bundled example sessions, name-sorted."""
+    # imported here: on Python 3.12 and later importlib.resources loads inspect
+    from importlib import resources
+
     root = resources.files("gradedchi").joinpath("sessions")
     out = []
     for entry in root.iterdir():

@@ -52,10 +52,10 @@ minimal basis in reducer form, so dividing by a basis prepares no reducer.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import add, le, mul, sub
+from typing import NamedTuple
 
 from .errors import AlgebraError
 from .rings import GradedRing, Poly, PolyRing, mono_divides, mono_lcm, mono_mul
@@ -467,8 +467,7 @@ def minimalize_monomials(monos):
     return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(NamedTuple):
     """A monomial ideal given by its minimal generators."""
 
     generators: tuple

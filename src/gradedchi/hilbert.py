@@ -8,7 +8,6 @@ t = 1 and the multiplicity as the value there after clearing the pole.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -87,16 +86,34 @@ class DimMult(NamedTuple):
     mult: Fraction
 
 
-@dataclass(frozen=True)
 class HilbertSeries:
     """Hilbert series as an integer numerator over prod_i (1 - t^{d_i}), with
     the weights sorted, so the variables' order does not change equality."""
 
-    numerator: IntPoly
-    weights: tuple
+    __slots__ = ("numerator", "weights")
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(sorted(self.weights)))
+    def __init__(self, numerator: IntPoly, weights):
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "weights", tuple(sorted(weights)))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r}: a HilbertSeries is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return HilbertSeries, (self.numerator, self.weights)
+
+    def __eq__(self, other):
+        if not isinstance(other, HilbertSeries):
+            return NotImplemented
+        return self.numerator == other.numerator and self.weights == other.weights
+
+    def __hash__(self):
+        return hash((self.numerator, self.weights))
+
+    def __repr__(self):
+        return f"HilbertSeries(numerator={self.numerator!r}, weights={self.weights!r})"
 
     @property
     def is_zero(self) -> bool:

@@ -60,10 +60,10 @@ to the certified completeness bound and never beyond.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import AlgebraError
 from .groebner import GroebnerBasis, reduce_against
@@ -192,8 +192,7 @@ def _validated_gens(ring: GradedRing, gens):
     return gens
 
 
-@dataclass(frozen=True)
-class TruncatedResolution:
+class TruncatedResolution(NamedTuple):
     """A minimal graded free resolution of R/I over R, truncated at (i_max, d_max).
 
     degrees[i] lists the generator degrees of F_i (only generators of degree
@@ -364,8 +363,7 @@ def _resolve(ring: GradedRing, gens, i_max: int, d_max: int) -> TruncatedResolut
 # Tor tables
 
 
-@dataclass(frozen=True)
-class TorTable:
+class TorTable(NamedTuple):
     """Graded Tor dimensions dim_k Tor_i(R/I, R/J)_j for i <= i_max, j <= d_max.
 
     All stored entries are exact; entries is read-only, since the ring's

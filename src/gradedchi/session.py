@@ -17,12 +17,13 @@ Grammar (informally):
 
 Polynomials use integer (or INT/INT fraction) coefficients, "+", "-", "*",
 "^" and parentheses. "#" starts a comment through end of line. Everything
-referenced must be declared earlier; errors carry line and column.
+referenced must be declared earlier; errors carry line and column. A sum's
+terms are added into one dict, made into one Poly. A Command is a NamedTuple
+(a tuple); a Session is a mutable __slots__ class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import lcm
 from operator import add
@@ -98,23 +99,34 @@ def tokenize(text: str):
     return toks
 
 
-@dataclass(frozen=True)
-class Command:
+class _CommandFields(NamedTuple):
     kind: str
     idents: tuple
     poly: Poly | None = None
     number: int | None = None
-    flags: dict = dc_field(default_factory=dict)
+    flags: dict | None = None
     line: int = 0
     col: int = 0
 
 
-@dataclass
+class Command(_CommandFields):
+    """One parsed command. flags defaults to a new empty dict per command."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind, idents, poly=None, number=None, flags=None, line=0, col=0):
+        flags = {} if flags is None else flags
+        return super().__new__(cls, kind, idents, poly, number, flags, line, col)
+
+
 class Session:
-    ring_name: str
-    ring: GradedRing
-    ideals: dict
-    commands: list
+    __slots__ = ("ring_name", "ring", "ideals", "commands")
+
+    def __init__(self, ring_name: str, ring: GradedRing, ideals: dict, commands: list):
+        self.ring_name = ring_name
+        self.ring = ring
+        self.ideals = ideals
+        self.commands = commands
 
     @property
     def ambient(self) -> PolyRing:
@@ -201,12 +213,7 @@ class _Parser:
                 self.parse_command()
             else:
                 raise SessionError(f"unknown command {t.value!r}", t.line, t.col)
-        return Session(
-            ring_name=self.ring_name,
-            ring=self.ring,
-            ideals=self.ideals,
-            commands=self.commands,
-        )
+        return Session(self.ring_name, self.ring, self.ideals, self.commands)
 
     def parse_ring(self):
         self.advance()  # "ring"
@@ -344,21 +351,23 @@ class _Parser:
         return self.parse_sum()
 
     def parse_sum(self) -> Poly:
-        p = self.parse_term()
+        """Terms joined by '+' and '-', added into one {exponents: coefficient}
+        dict and made into a Poly once: its constructor normalises the sum."""
+        out: dict = {}
+        sign = 1
         while True:
+            self._add_term(out, sign)
             t = self.peek()
-            if t.kind == "SYM" and t.value in "+-":
-                self.advance()
-                q = self.parse_term()
-                p = p + q if t.value == "+" else p - q
-            else:
-                return p
+            if not (t.kind == "SYM" and t.value in "+-"):
+                return Poly(self.ambient, out)
+            self.advance()
+            sign = 1 if t.value == "+" else -1
 
-    def parse_term(self) -> Poly:
-        """A product of factors. Numbers and variable powers multiply into
-        one coefficient and one exponent tuple, made into a Poly once; a
-        factor with parentheses is a Poly, multiplied in by Poly products."""
-        coeff, exps, poly = 1, (0,) * self.ambient.nvars, None
+    def _add_term(self, out: dict, sign: int):
+        """Add sign times a product of factors into out. Numbers and variable
+        powers multiply into one coefficient and one exponent tuple; factors
+        with parentheses multiply in as Polys, and the product's terms add."""
+        coeff, exps, poly = sign, (0,) * self.ambient.nvars, None
         while True:
             f = self._factor()
             if isinstance(f, Poly):
@@ -369,8 +378,11 @@ class _Parser:
             if not self.at_sym("*"):
                 break
             self.advance()
-        term = Poly(self.ambient, {exps: self.ambient.field.coerce(coeff)})
-        return term if poly is None else term * poly
+        terms = {exps: self.ambient.field.coerce(coeff)}
+        if poly is not None:
+            terms = (Poly(self.ambient, terms) * poly).terms
+        for m, c in terms.items():
+            out[m] = out[m] + c if m in out else c
 
     def parse_factor(self) -> Poly:
         f = self._factor()

@@ -226,6 +226,15 @@ def test_main_bad_flag_usage_exit_one(capsys):
     assert ei.value.code == 1
 
 
+def test_main_help_exits_zero_with_usage(capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(["--help"])
+    assert ei.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: gradedchi ")
+    assert "--run-paper-suite" in out
+
+
 def test_main_negative_series_terms_exit_one(tmp_path, capsys):
     f = tmp_path / "conic.session"
     f.write_text(CONIC)

@@ -261,6 +261,34 @@ def test_parsed_terms_match_poly_arithmetic():
             ]
 
 
+def test_cancelling_terms_match_poly_arithmetic():
+    # a sum's terms are added into one dict before its Poly is made: terms
+    # that cancel leave no zero behind, and coefficients keep their types
+    for field in ("qq", "fp:2", "fp:7"):
+        r = PolyRing(("x", "y", "z"), field=field_from_name(field))
+        x, y, z = r.gens()
+        cases = [
+            ("x - x + x", x - x + x),
+            ("2*x*y - x*y - x*y", 2 * x * y - x * y - x * y),
+            ("x + x", x + x),
+            ("x - x", r.zero()),
+            ("x*y + 3*(x - z)*y^2 - x*y - 3*x*y^2", 3 * (x - z) * y**2 - 3 * x * y**2),
+            ("z*(x + y) - (y + x)*z + y - 2*-(y*z)", y + 2 * y * z),
+        ]
+        if field != "fp:2":
+            cases.append(("1/2*x - x*1/2 + (x - 1/2*x)*y", (x - Fraction(1, 2) * x) * y))
+        for text, value in cases:
+            parsed = parse_polynomial(text, r)
+            assert parsed == value, (field, text)
+            assert all(parsed.terms.values()), (field, text)
+            assert {m: type(c) for m, c in parsed.terms.items()} == {
+                m: type(c) for m, c in value.terms.items()
+            }, (field, text)
+    gf2 = PolyRing(("x", "y"), field=field_from_name("fp:2"))
+    assert parse_polynomial("x + x", gf2).is_zero
+    assert parse_polynomial("x*y + y + x*y", gf2) == gf2.gen(1)
+
+
 def test_polynomial_error_messages_and_positions():
     cases = (
         ("x + q", "qq", "line 1, col 5: unknown variable 'q'"),
