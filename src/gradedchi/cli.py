@@ -2,13 +2,12 @@
 
 Text reports are byte-deterministic; JSON reports carry the same data with
 exact rationals rendered as strings. Exit codes: 0 success, 1 computation or
-validation error, 2 at least one failed check. argparse and importlib.resources
-load only in build_arg_parser and bundled_sessions, not on import.
+validation error, 2 at least one failed check. argparse, importlib.resources
+and json load only in the functions that use them, not on import.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -106,6 +105,8 @@ class Report:
         }
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.as_dict(), indent=2) + "\n"
 
 
@@ -443,6 +444,8 @@ def _run_suite(field, opts: RunOptions, fmt: str) -> int:
     if fmt == "text":
         sys.stdout.write(f"suite: {len(sessions)} sessions, {total_failures} check failures\n")
     else:
+        import json
+
         sys.stdout.write(
             json.dumps({"sessions": suite, "check_failures": total_failures}, indent=2) + "\n"
         )

@@ -50,6 +50,14 @@ the products u * image are summed from normal-form terms straight into
 coordinate dicts. The finished resolution keeps the images in that form,
 and the Tor ranks build their columns from them directly.
 
+A cell (i, j) of the resolution that reads what cell (i - 2, j - s) read,
+every degree raised by s, copies that cell's outcome, and a Tor step copies
+step i - 2's ranks on the same terms (see _period). Cells are deterministic
+in what they read, so the copy is exact. It fires over hypersurfaces, whose
+resolutions become 2-periodic with s the relation's degree (Eisenbud,
+Trans. AMS 260, 1980), never where Betti numbers grow. Step i_max still
+runs its rank pass for the top kernel.
+
 Everything here is exact: entries of the Tor table are true dimensions for
 all internal degrees <= d_max, because a generator of internal degree above
 d_max cannot affect a graded piece of degree <= d_max. Only the alternating
@@ -59,6 +67,7 @@ to the certified completeness bound and never beyond.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 from operator import add
@@ -265,14 +274,11 @@ def _rank_pass(rb: GradedBasis, elems, degs, tgt_degs, j: int, dead: dict):
     monomial order) into the free module on tgt_degs, less the ones a dead
     mask of degree j - w marks as spanned by the products before them.
     dead maps a degree to one bit mask per g over rb.basis(j - degs[g]) of
-    the u whose product was skipped or reduced to zero; the pass fills
-    dead[j] and drops the degree no later pass steps down to, so degrees
-    must come in ascending order. Returns the span of the built products,
-    the products themselves, their positions among all products and the
-    number of all products."""
-    weights = sorted(set(rb.ring.weights))
-    below = [(w, dead.get(j - w, ())) for w in weights]
-    dead.pop(j - weights[-1], None)
+    the u whose product was skipped or reduced to zero; the pass reads the
+    masks of degrees j - w and fills dead[j]. Returns the span of the built
+    products, the products themselves, their positions among all products
+    and the number of all products."""
+    below = [(w, dead.get(j - w, ())) for w in sorted(set(rb.ring.weights))]
     masks, offs, pairs, kept, n = [], [], [], [], 0
     for g, d in enumerate(degs):
         e = j - d
@@ -299,9 +305,33 @@ def _rank_pass(rb: GradedBasis, elems, degs, tgt_degs, j: int, dead: dict):
     return span, cols, kept, n
 
 
+def _period(degrees, images, i: int, j: int, dead=None, weights=()):
+    """The s > 0 by which all that step i reads below degree j is what
+    step i - 2 reads below j - s, every degree raised by s; else None. A Tor
+    step reads F_i with its images and F_{i-1}'s degrees; a cell (i, j) of
+    _resolve, given dead masks and weights, reads F_i below j, F_{i-1} and
+    F_{i-2}'s degrees through j, and the masks of steps i, i - 1 at j - w."""
+    reads = [(i, j, True), (i - 1, j, False)]
+    if dead is not None:
+        reads[1:] = (i - 1, j + 1, True), (i - 2, j + 1, False)
+    if reads[-1][0] < 2 or not degrees[i - 1] or not degrees[i - 3]:
+        return None
+    s = degrees[i - 1][0] - degrees[i - 3][0]  # > 0: lowest degrees rise along a minimal resolution
+    for k, below, imaged in reads:
+        a, b = degrees[k], degrees[k - 2]
+        n = bisect_left(a, below)
+        if n != bisect_left(b, below - s) or any(x != y + s for x, y in zip(a[:n], b)):
+            return None
+        if imaged and images[k][:n] != images[k - 2][:n]:
+            return None
+    same = (dead[k].get(j - w, []) == dead[k - 2].get(j - s - w, []) for k in (i - 1, i) for w in weights)
+    return s if dead is None or all(same) else None
+
+
 def _resolve(ring: GradedRing, gens, i_max: int, d_max: int) -> TruncatedResolution:
     rb = _graded_basis(ring)
     field = ring.field
+    weights = sorted(set(ring.weights))
 
     one = (0,) * ring.nvars
     candidates = [q for q in (rb.multiply_nf(one, g) for g in gens) if q]
@@ -321,10 +351,17 @@ def _resolve(ring: GradedRing, gens, i_max: int, d_max: int) -> TruncatedResolut
     # are final for every degree <= j. Step i_max + 1 runs no rank pass: it
     # keeps every kernel vector of step i_max's kept columns, which exist
     # where that pass met a zero residual. images[i] keeps each vector as
-    # (component, monomial, coefficient) terms.
+    # (component, monomial, coefficient) terms. A cell copied from (i, j)
+    # takes done[i][j] = (r_i, n_i), dead[i][j] and its new generators.
     degrees = [[0]] + [[] for _ in range(i_max + 1)]
     images = [[] for _ in range(i_max + 2)]
     dead = [{} for _ in range(i_max + 1)]
+    done = [{} for _ in range(i_max + 1)]
+
+    def rank_pass(k, j):  # step k's pass at j, over its generators below j
+        c = bisect_left(degrees[k], j)
+        return _rank_pass(rb, images[k][:c], degrees[k][:c], degrees[k - 1], j, dead[k])
+
     start = candidates[0].homogeneous_degree() if candidates else d_max + 1
     for j in range(start, d_max + 1):
         idx = rb.index(j)
@@ -333,17 +370,32 @@ def _resolve(ring: GradedRing, gens, i_max: int, d_max: int) -> TruncatedResolut
             for p in candidates
             if p.homogeneous_degree() == j
         ]
+        cols = kept = None  # step i - 1's built columns at j; None where its cell was copied
         # never leave the i-loop early: over an Artinian ring F_i can have
         # degree-j products, which step i + 1 needs, when F_{i-1} has none
         for i in range(1, i_max + 2):
             top = i > i_max
+            # a cell that reads what (i - 2, j - s) read, shifted, copies it
+            s = None if top else _period(degrees, images, i, j, dead, weights)
+            if s:
+                cols = kept = None
+                if i == i_max:  # the top kernel reads this step's columns
+                    _, cols, kept, _ = rank_pass(i, j)
+                done[i][j], dead[i][j] = done[i - 2][j - s], dead[i - 2][j - s]
+                lo, hi = bisect_left(degrees[i - 2], j - s), bisect_right(degrees[i - 2], j - s)
+                degrees[i] += [j] * (hi - lo)
+                images[i] += images[i - 2][lo:hi]
+                continue
             if not top:
-                span, cols, kept, n = _rank_pass(rb, images[i], degrees[i], degrees[i - 1], j, dead[i])
-                rank = len(span.rows)
+                span, new_cols, new_kept, n = rank_pass(i, j)
+                done[i][j] = len(span.rows), n
             if i > 1:
-                new = len(prev_cols) - prev_rank if top else prev_n - prev_rank - rank
-                kernel = kernel_of_columns(prev_cols, len(prev_cols), field) if new > 0 else []
-                piece = [{prev_kept[k]: c for k, c in vec.items()} for vec in kernel]
+                prev_rank, prev_n = done[i - 1][j]
+                new = len(cols) - prev_rank if top else prev_n - prev_rank - done[i][j][0]
+                if new > 0 and cols is None:  # rerun the pass of the copied cell (i - 1, j)
+                    _, cols, kept, _ = rank_pass(i - 1, j)
+                kernel = kernel_of_columns(cols, len(cols), field) if new > 0 else []
+                piece = [{kept[k]: c for k, c in vec.items()} for vec in kernel]
             if piece:
                 # position -> (component, monomial) in the degree-j piece of F_{i-1}
                 slots = [(h, m) for h, d in enumerate(degrees[i - 1]) for m in rb.basis(j - d)]
@@ -353,7 +405,7 @@ def _resolve(ring: GradedRing, gens, i_max: int, d_max: int) -> TruncatedResolut
                         degrees[i].append(j)
                         images[i].append(tuple((*slots[k], c) for k, c in sorted(r.items())))
             if not top:
-                prev_cols, prev_rank, prev_n, prev_kept = cols, rank, n, kept
+                cols, kept = new_cols, new_kept
 
     degrees, images = tuple(map(tuple, degrees)), tuple(map(tuple, images))
     return TruncatedResolution(ring, gens, i_max, d_max, degrees[:-1], images[:-1], degrees[-1], images[-1])
@@ -415,20 +467,24 @@ def _tor_table(ring: GradedRing, I, J, i_max: int, d_max: int) -> TorTable:
     degrees = (*res.degrees, res.top_degrees)
     images = (*res.images, res.top_images)
 
-    ranks: dict = {}
+    ranks = [{} for _ in range(i_max + 2)]
     for i in range(1, i_max + 2):
+        s = _period(degrees, images, i, d_max + 1) if i <= i_max else None
+        if s:
+            ranks[i] = {j + s: r for j, r in ranks[i - 2].items() if j + s <= d_max}
+            continue
         dead: dict = {}
         for j in range(min(degrees[i], default=d_max + 1), d_max + 1):
             r = len(_rank_pass(nb, images[i], degrees[i], degrees[i - 1], j, dead)[0].rows)
             if r:
-                ranks[(i, j)] = r
+                ranks[i][j] = r
 
     entries: dict = {}
     for i in range(i_max + 1):
         counts = Counter(degrees[i]).items()
         for j in range(d_max + 1):
             dt = sum(n * nb.dim(j - d) for d, n in counts)
-            e = dt - ranks.get((i, j), 0) - ranks.get((i + 1, j), 0)
+            e = dt - ranks[i].get(j, 0) - ranks[i + 1].get(j, 0)
             if e:
                 entries[(i, j)] = e
 

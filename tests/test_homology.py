@@ -4,6 +4,7 @@ import ast
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -414,10 +415,11 @@ def test_homology_shares_no_module_with_the_closed_form():
 # exactness and recorded resolutions on seeded random quotient rings
 
 
-def _random_quotient(rng, field, artinian=False, ideals=1):
+def _random_quotient(rng, field, artinian=False, ideals=1, relations=None):
     """A random quotient of k[x0, x1(, x2)] with weights in {1, 2, 3}, and
     `ideals` ideals of it. An Artinian ring has every square of a variable as
-    a relation; otherwise up to two random homogeneous relations."""
+    a relation; otherwise `relations` random homogeneous relations, or up to
+    two when that is None."""
     nv = rng.randrange(2, 4)
     weights = tuple(rng.choice((1, 1, 2, 3)) for _ in range(nv))
     ring = PolyRing(tuple(f"x{i}" for i in range(nv)), weights, field=field)
@@ -430,7 +432,10 @@ def _random_quotient(rng, field, artinian=False, ideals=1):
                 out.append(p)
         return out
 
-    rels = [x * x for x in ring.gens()] if artinian else polys(rng.randrange(0, 3), 2, 5)
+    if artinian:
+        rels = [x * x for x in ring.gens()]
+    else:
+        rels = polys(rng.randrange(0, 3) if relations is None else relations, 2, 5)
     return (GradedRing(ring, rels), *(tuple(polys(rng.randrange(1, 3), 1, 4)) for _ in range(ideals)))
 
 
@@ -693,11 +698,12 @@ def test_golden_recorder_only_appends(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", ["cubic_cone-qq", "cubic_cone-fp:32003", "two_planes-qq", "two_planes-fp:32003"])
 def test_kernels_only_where_generators_appear(name, monkeypatch):
-    """A kernel is computed at (i, j), 2 <= i <= i_max, only where the rank
-    count (n_{i-1} - r_{i-1}) - r_i is positive, which is exactly where F_i
-    gains a generator of degree j; and at (i_max + 1, j) only where step
-    i_max's built columns are dependent, once per degree of the top
-    generating set."""
+    """With no cell copied from two steps back, a kernel is computed at
+    (i, j), 2 <= i <= i_max, only where the rank count (n_{i-1} - r_{i-1})
+    - r_i is positive, which is exactly where F_i gains a generator of
+    degree j; and at (i_max + 1, j) only where step i_max's built columns
+    are dependent, once per degree of the top generating set."""
+    monkeypatch.setattr(homology, "_period", _never)
     calls = []
     kernel = homology.kernel_of_columns
 
@@ -711,6 +717,213 @@ def test_kernels_only_where_generators_appear(name, monkeypatch):
     cells = {(i, j) for i in range(2, i_max + 1) for j in res.degrees[i]}
     cells |= {(i_max + 1, j) for j in res.top_degrees}
     assert res.top_degrees and cells and len(calls) == len(cells)
+
+
+def _never(*args):
+    """Stands in for homology._period: no cell or step is copied."""
+    return None
+
+
+def _pass_step(res, tgt_degs, elems, j):
+    """The step i whose rank pass at degree j reads these inputs: F_{i-1}'s
+    generator degrees through j and F_i's images below j. Only steps with
+    nothing to read share their inputs; the lowest of them is returned."""
+    steps = [
+        i
+        for i in range(1, res.i_max + 1)
+        if tgt_degs == tuple(d for d in res.degrees[i - 1] if d <= j)
+        and elems == tuple(img for d, img in zip(res.degrees[i], res.images[i]) if d < j)
+    ]
+    assert steps and (len(steps) == 1 or not elems), (j, steps)
+    return steps[0]
+
+
+class _ResolveWork:
+    """While installed, records the work of each resolution built: every
+    product-column build as (step, j, pairs, cols), every kernel as its
+    cell (i, j) (it reads step i - 1's columns), the cells _resolve copies,
+    the rank passes it reruns for them and the steps the Tor ranks copy.
+    Call resolved(res) after each resolution to map the builds to steps."""
+
+    def __init__(self, monkeypatch):
+        self.builds, self.kernels, self.copied, self.reruns, self.tor_steps = [], [], set(), 0, 0
+        build, kernel = homology._image_columns, homology.kernel_of_columns
+        period, rank_pass = homology._period, homology._rank_pass
+
+        def built(rb, elems, pairs, tgt_degs, j):
+            cols = build(rb, elems, pairs, tgt_degs, j)
+            self.builds.append([tuple(tgt_degs), tuple(elems), j, list(pairs), cols])
+            return cols
+
+        def kernel_of(cols, n, field):
+            self.kernels.append(cols)
+            return kernel(cols, n, field)
+
+        def shifted(degrees, images, i, j, *dead):
+            s = period(degrees, images, i, j, *dead)
+            if s and dead:
+                self.copied.add((i, j))
+            self.tor_steps += bool(s and not dead)
+            return s
+
+        def passed(rb, elems, degs, tgt_degs, j, dead):
+            self.reruns += j in dead  # a copied cell's pass has its masks already
+            return rank_pass(rb, elems, degs, tgt_degs, j, dead)
+
+        monkeypatch.setattr(homology, "_image_columns", built)
+        monkeypatch.setattr(homology, "kernel_of_columns", kernel_of)
+        monkeypatch.setattr(homology, "_period", shifted)
+        monkeypatch.setattr(homology, "_rank_pass", passed)
+
+    def resolved(self, res):
+        """(builds as (i, j, pairs, cols), kernel cells) of res, then clear."""
+        builds = [(_pass_step(res, tgt, elems, j), j, pairs, cols) for tgt, elems, j, pairs, cols in self.builds]
+        made = {id(cols): (i, j) for i, j, _, cols in builds}
+        kernels = [(made[id(cols)][0] + 1, made[id(cols)][1]) for cols in self.kernels]
+        self.builds, self.kernels = [], []
+        return builds, kernels
+
+
+@pytest.mark.parametrize("name", ["cubic_cone-qq", "cubic_cone-fp:32003", "two_planes-qq", "two_planes-fp:32003"])
+def test_kernels_only_at_generator_cells_not_copied(name, monkeypatch):
+    """A cell copied from two steps back computes no kernel; every other
+    cell computes one exactly where F_i gains a generator, so the kernel
+    cells are the generator cells less the copied ones. Copying fires on the
+    hypersurface and never on two_planes, whose Betti numbers grow."""
+    work = _ResolveWork(monkeypatch)
+    (R, I, i_max, d_max), = [case for n, *case in _resolution_cases() if n == name]
+    res = truncated_resolution(R, I, i_max, d_max)
+    _, kernels = work.resolved(res)
+    cells = {(i, j) for i in range(2, i_max + 1) for j in res.degrees[i]}
+    cells |= {(i_max + 1, j) for j in res.top_degrees}
+    assert len(kernels) == len(set(kernels))
+    assert set(kernels) == cells - work.copied
+    assert bool(work.copied) == name.startswith("cubic_cone")
+    assert work.reruns == 0
+
+
+@pytest.mark.parametrize("field", ["qq", "fp:32003"])
+@pytest.mark.parametrize("window", [(12, 20), (24, 36)])
+def test_periodic_steps_build_no_columns(field, window, monkeypatch):
+    """Over the cubic cone the resolution is 2-periodic from step 4 on, so
+    every cell of steps 6 to i_max - 1 is copied: they build no product
+    column and compute no kernel. Step i_max still builds its columns for
+    the top kernel."""
+    work = _ResolveWork(monkeypatch)
+    session = parse_session(CUBIC_SESSION, field_from_name(field))
+    i_max, d_max = window
+    res = truncated_resolution(session.ring, session.ideals["I"], i_max, d_max)
+    builds, kernels = work.resolved(res)
+    columns = Counter()
+    for i, _, pairs, _ in builds:
+        columns[i] += len(pairs)
+    periodic = range(6, i_max)
+    assert not [i for i in columns if i in periodic and columns[i]]
+    assert not [cell for cell in kernels if cell[0] in periodic]
+    assert columns[5] and columns[i_max]
+
+
+# ---------------------------------------------------------------------------
+# cells copied from two steps back against cells computed
+
+
+def _differential_cases():
+    """(label, ring, I, J, i_max, d_max), built afresh on every call so no
+    memo carries over: four bundled hypersurface sessions at deep windows and
+    six seeded random one-relation quotients, each over QQ, GF(2), GF(3)
+    and GF(32003)."""
+    texts = {name.split(".")[0]: text for name, text in bundled_sessions()}
+    sessions = (
+        ("cubic_cone", "I", "J", 16, 24),
+        ("quadric_cone", "I", "J", 12, 16),
+        ("cuspidal_cubic", "D", "D2", 14, 20),
+        ("conic_qcartier", "D", "C", 16, 22),
+    )
+    cases = []
+    for field in ("qq", "fp:2", "fp:3", "fp:32003"):
+        k = field_from_name(field)
+        for name, a, b, i_max, d_max in sessions:
+            session = parse_session(texts[name], k)
+            cases.append((f"{name}-{field}", session.ring, session.ideals[a], session.ideals[b], i_max, d_max))
+        rng = random.Random(f"one-relation-{field}")
+        for n in range(6):
+            R, I, J = _random_quotient(rng, k, ideals=2, relations=1)
+            cases.append((f"random-{n}-{field}", R, I, J, 9, 14))
+    return cases
+
+
+def test_period_compares_everything_a_step_or_cell_reads():
+    """homology._period on the cubic cone's resolution, 2-periodic with
+    shift 3 from step 4 on, and on one change at a time. A Tor step i reads
+    F_i with its images and F_{i-1}'s degrees; a cell (i, j) of the
+    resolution reads F_i below j, F_{i-1} with its images through j, F_{i-2}'s
+    degrees through j and the dead masks of steps i and i - 1 at j - w.
+    Changing what is read stops the copy; changing anything else does not."""
+    session = parse_session(CUBIC_SESSION, field_from_name("qq"))
+    res = truncated_resolution(session.ring, session.ideals["I"], 12, 20)
+    assert res.degrees[4:9] == ((5, 6), (7, 7), (8, 9), (10, 10), (11, 12))
+
+    def period(change, i, j, masks=False):
+        degrees, images = list(res.degrees), list(res.images)
+        dead = [{} for _ in degrees]
+        dead[8][9], dead[6][6], dead[7][9], dead[5][6] = [1], [1], [2, 0], [2, 0]
+        change(degrees, images, dead)
+        return homology._period(degrees, images, i, j, *((dead, (1,)) if masks else ()))
+
+    def swap(images, k):
+        images[k] = (images[k][1], images[k][0], *images[k][2:])
+
+    def nothing(degrees, images, dead):
+        pass
+
+    # Tor step 8 through degree 20
+    assert period(nothing, 8, 21) == 3
+    assert period(lambda d, im, dead: swap(im, 8), 8, 21) is None
+    assert period(lambda d, im, dead: d.__setitem__(8, (11, 11)), 8, 21) is None
+    assert period(lambda d, im, dead: d.__setitem__(7, (10, 10, 20)), 8, 21) is None
+    assert period(lambda d, im, dead: d.__setitem__(7, (10, 11)), 8, 21) is None
+    assert period(lambda d, im, dead: swap(im, 7), 8, 21) == 3
+    assert period(lambda d, im, dead: d.__setitem__(4, (5, 7)), 8, 21) == 3
+    # cell (8, 10) of the resolution
+    assert period(nothing, 8, 10, masks=True) == 3
+    assert period(lambda d, im, dead: swap(im, 7), 8, 10, masks=True) is None
+    assert period(lambda d, im, dead: d.__setitem__(4, (5, 7)), 8, 10, masks=True) is None
+    assert period(lambda d, im, dead: dead[8].__setitem__(9, [3]), 8, 10, masks=True) is None
+    assert period(lambda d, im, dead: dead[7].__setitem__(9, [2, 1]), 8, 10, masks=True) is None
+    assert period(lambda d, im, dead: dead[8].__setitem__(8, [3]), 8, 10, masks=True) == 3
+    assert period(lambda d, im, dead: swap(im, 8), 8, 10, masks=True) == 3
+    # no step before 3, and no cell before step 4, has the steps to repeat
+    assert period(nothing, 2, 21) is None and period(nothing, 3, 10, masks=True) is None
+
+
+@pytest.mark.parametrize("copy", ["every step", "odd steps"])
+def test_copied_cells_match_computed_ones(copy, monkeypatch):
+    """Copying a cell or a Tor step from two steps back is an exact
+    shortcut: with it on, resolutions and Tor tables equal those computed
+    with it off, field for field. With copying on odd steps only, a computed
+    cell whose kernel reads a copied cell's columns reruns that cell's pass."""
+
+    def outputs(R, I, J, i_max, d_max):
+        res, tt = truncated_resolution(R, I, i_max, d_max), tor_table(R, I, J, i_max, d_max)
+        resolution = res.degrees, res.images, res.top_degrees, res.top_images
+        return resolution, dict(tt.entries), tt.betti, tt.chi_complete_through
+
+    monkeypatch.setattr(homology, "_period", _never)
+    expected = [outputs(*case) for _, *case in _differential_cases()]
+    monkeypatch.undo()
+    work = _ResolveWork(monkeypatch)
+    if copy == "odd steps":
+        period = homology._period
+
+        def odd(degrees, images, i, *more):
+            return i % 2 and period(degrees, images, i, *more)
+
+        monkeypatch.setattr(homology, "_period", odd)
+    for (label, *case), want in zip(_differential_cases(), expected):
+        assert outputs(*case) == want, label
+        work.builds.clear()
+        work.kernels.clear()
+    assert work.copied and work.tor_steps and (work.reruns > 0) == (copy == "odd steps")
 
 
 # ---------------------------------------------------------------------------
@@ -767,16 +980,27 @@ def test_skipped_columns_reduce_to_zero_in_a_full_pass(name, monkeypatch):
     F_i's earlier generators; each one it leaves out reduces to zero against
     all the products before it, and the rank r_i of the built columns is
     the rank of all of them. The reference pass works on ambient monomials
-    modulo the relations, with its own elimination."""
+    modulo the relations, with its own elimination. Each pass is mapped to
+    its step by what it reads; with no cell copied from two steps back,
+    every degree visits steps 1..i_max in turn."""
     calls = []
     build = homology._image_columns
 
     def recorded(rb, elems, pairs, tgt_degs, j):
         cols = build(rb, elems, pairs, tgt_degs, j)
-        calls.append((j, list(pairs), cols))
+        calls.append((tuple(tgt_degs), tuple(elems), j, list(pairs), cols))
         return cols
 
     monkeypatch.setattr(homology, "_image_columns", recorded)
+    for copying in (True, False):
+        if not copying:
+            monkeypatch.setattr(homology, "_period", _never)
+        _assert_criterion_on_passes(name, calls, copying)
+
+
+def _assert_criterion_on_passes(name, calls, copying):
+    """The checks of test_skipped_columns_reduce_to_zero_in_a_full_pass on
+    every pass the resolutions of one criterion case run."""
     built = skipped = 0
     for R, I, i_max, d_max in _criterion_cases(name):
         calls.clear()
@@ -784,8 +1008,11 @@ def test_skipped_columns_reduce_to_zero_in_a_full_pass(name, monkeypatch):
         rb = homology._graded_basis(R)
         p = R.field.p
         step = {}
-        for j, pairs, cols in calls:
-            i = step[j] = step.get(j, 0) + 1  # each degree visits steps 1..i_max in turn
+        for tgt, elems, j, pairs, cols in calls:
+            if copying:
+                i = _pass_step(res, tgt, elems, j)
+            else:
+                i = step[j] = step.get(j, 0) + 1  # each degree visits steps 1..i_max in turn
             full = [(g, u) for g, d in enumerate(res.degrees[i]) if d < j for u in rb.basis(j - d)]
             kept = set(pairs)
             assert [q for q in full if q in kept] == pairs, (i, j)

@@ -167,4 +167,4 @@ def test_import_loads_no_dataclasses_inspect_or_argparse(tmp_path):
 
     added = loaded("import gradedchi, gradedchi.cli") - loaded("pass")
     assert {"gradedchi", "gradedchi.cli"} <= added
-    assert not added & {"dataclasses", "inspect", "argparse"}
+    assert not added & {"dataclasses", "inspect", "argparse", "json"}
