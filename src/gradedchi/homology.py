@@ -50,13 +50,29 @@ the products u * image are summed from normal-form terms straight into
 coordinate dicts. The finished resolution keeps the images in that form,
 and the Tor ranks build their columns from them directly.
 
+Most rank passes only confirm a rank that their products' leading terms
+already prove, as in the Schreyer frames of La Scala and Stillman. An
+image's terms are sorted by coordinate position, so its lead (h0, m0), the
+first component and the largest monomial on it, is its last term on h0.
+If every kept product u * g has u * m0 standard and no two share
+(h0, u * m0), the columns are triangular under (component ascending,
+monomial descending), since normal forms never exceed the monomial they
+reduce; so they are independent, and the pass takes their count as its
+rank and its skip masks as its dead masks, and builds no column and no span
+(see _independent). A resolution pass does so only where that count
+reaches n_{i-1} - r_{i-1}, so that the cell gains no generator; the Tor
+ranks do so wherever the certificate holds.
+
 A cell (i, j) of the resolution that reads what cell (i - 2, j - s) read,
 every degree raised by s, copies that cell's outcome, and a Tor step copies
-step i - 2's ranks on the same terms (see _period). Cells are deterministic
-in what they read, so the copy is exact. It fires over hypersurfaces, whose
-resolutions become 2-periodic with s the relation's degree (Eisenbud,
-Trans. AMS 260, 1980), never where Betti numbers grow. Step i_max still
-runs its rank pass for the top kernel.
+step i - 2's ranks on the same terms (see _period). Where the whole cell
+does not repeat, its rank pass may: it copies rank, column count and dead
+masks, which are exactly the non-pivot columns and so canonical, and runs
+only where that rank leaves new generators. Cells and passes are
+deterministic in what they read, so the copy is exact. It fires over
+hypersurfaces, whose resolutions become 2-periodic with s the relation's
+degree (Eisenbud, Trans. AMS 260, 1980), never where Betti numbers grow.
+Step i_max still runs its rank pass for the top kernel.
 
 Everything here is exact: entries of the Tor table are true dimensions for
 all internal degrees <= d_max, because a generator of internal degree above
@@ -208,9 +224,12 @@ class TruncatedResolution(NamedTuple):
     <= d_max are found; higher ones cannot influence graded pieces <= d_max).
     images[i][k] is the image of the k-th generator of F_i in F_{i-1}, in
     normal form, as a tuple of (component, monomial, coefficient) terms
-    sorted by coordinate position: component indexes F_{i-1}'s generators,
-    and coefficients are ints (primitive over QQ, in [0, p) over GF(p)).
-    F_0 = R always, presenting the cyclic module R/I.
+    sorted by coordinate position: by component, which indexes F_{i-1}'s
+    generators, then by monomial, ascending in the monomial order. The
+    rank passes rely on that order: an image's largest monomial on its first
+    component is its last term there. Coefficients are ints (primitive over
+    QQ, in [0, p) over GF(p)). F_0 = R always, presenting the cyclic module
+    R/I.
 
     top_images generates ker d_{i_max} through degree d_max, in terms over
     F_{i_max}'s generators like images, but not minimally: the kernel
@@ -218,7 +237,7 @@ class TruncatedResolution(NamedTuple):
     degrees in top_degrees. Its lowest degree is that of the minimal
     F_{i_max+1}. For i_max = 0 the kernel is that of F_0 -> R/I, which is
     I, and top_images holds the ideal's generators in normal form, with
-    field-element coefficients.
+    field-element coefficients. Either way its terms are sorted as images'.
     """
 
     ring: GradedRing
@@ -268,16 +287,45 @@ def truncated_resolution(ring: GradedRing, gens, i_max: int = 8, d_max: int = 16
     )
 
 
-def _rank_pass(rb: GradedBasis, elems, degs, tgt_degs, j: int, dead: dict):
+def _independent(rb: GradedBasis, elems, pairs, tgt_degs, j: int) -> bool:
+    """True when the degree-j columns u * elems[g], (g, u) in pairs, are
+    certified independent without building them. Each generator's lead is
+    (h0, m0): h0 the first component of its image, m0 the largest monomial
+    on it, which is its last term there, since terms are sorted by
+    coordinate position. If every u * m0 is standard in rb and no two
+    products share (h0, u * m0), that entry is nonzero in its column and
+    every other entry of the column on h0 is at a smaller monomial, since
+    normal forms never exceed the monomial they reduce: the columns are
+    triangular under (component ascending, monomial descending)."""
+    seen: set = set()
+    last = None
+    for g, u in pairs:
+        if g != last:
+            last, elem = g, elems[g]
+            h0 = elem[0][0]
+            k = 1
+            while k < len(elem) and elem[k][0] == h0:
+                k += 1
+            m0, idx = elem[k - 1][1], rb.index(j - tgt_degs[h0])
+        m = tuple(map(add, u, m0))
+        if m not in idx or (h0, m) in seen:
+            return False
+        seen.add((h0, m))
+    return True
+
+
+def _rank_pass(rb: GradedBasis, elems, degs, tgt_degs, j: int, dead: dict, need=None):
     """Rank pass at internal degree j of one step, over the quotient of rb:
     the degree-j products u * elems[g] (g by degs, then u ascending in the
     monomial order) into the free module on tgt_degs, less the ones a dead
     mask of degree j - w marks as spanned by the products before them.
     dead maps a degree to one bit mask per g over rb.basis(j - degs[g]) of
     the u whose product was skipped or reduced to zero; the pass reads the
-    masks of degrees j - w and fills dead[j]. Returns the span of the built
-    products, the products themselves, their positions among all products
-    and the number of all products."""
+    masks of degrees j - w and fills dead[j]. Where at least need products
+    are kept and _independent certifies them, their count is the rank and
+    no column or span is built (need None: always build). Returns the rank,
+    the number of all products, the kept products' positions among them,
+    and the built columns with their span (None when certified)."""
     below = [(w, dead.get(j - w, ())) for w in sorted(set(rb.ring.weights))]
     masks, offs, pairs, kept, n = [], [], [], [], 0
     for g, d in enumerate(degs):
@@ -296,24 +344,31 @@ def _rank_pass(rb: GradedBasis, elems, degs, tgt_degs, j: int, dead: dict):
         masks.append(skip)
         offs.append(n)
         n += len(basis)
+    dead[j] = masks
+    if need is not None and len(pairs) >= need and _independent(rb, elems, pairs, tgt_degs, j):
+        return len(pairs), n, kept, None, None
     cols = _image_columns(rb, elems, pairs, tgt_degs, j)
     span = EchelonSpan(rb.ring.field)
     for (g, _), k, col in zip(pairs, kept, cols):
         if not span.add(col):
             masks[g] |= 1 << (k - offs[g])
-    dead[j] = masks
-    return span, cols, kept, n
+    return len(span.rows), n, kept, cols, span
 
 
-def _period(degrees, images, i: int, j: int, dead=None, weights=()):
+def _period(degrees, images, i: int, j: int, dead=None, weights=(), cell=True):
     """The s > 0 by which all that step i reads below degree j is what
     step i - 2 reads below j - s, every degree raised by s; else None. A Tor
-    step reads F_i with its images and F_{i-1}'s degrees; a cell (i, j) of
-    _resolve, given dead masks and weights, reads F_i below j, F_{i-1} and
-    F_{i-2}'s degrees through j, and the masks of steps i, i - 1 at j - w."""
-    reads = [(i, j, True), (i - 1, j, False)]
-    if dead is not None:
-        reads[1:] = (i - 1, j + 1, True), (i - 2, j + 1, False)
+    step reads F_i with its images and F_{i-1}'s degrees. Given dead masks
+    and weights, step i's rank pass at j in _resolve reads F_i below j,
+    F_{i-1}'s degrees through j and step i's masks at j - w; the whole cell
+    (i, j), unless cell is False, also reads F_{i-1}'s images and F_{i-2}'s
+    degrees through j, and step i - 1's masks at j - w."""
+    if dead is None:
+        reads, masked = ((i, j, True), (i - 1, j, False)), ()
+    elif cell:
+        reads, masked = ((i, j, True), (i - 1, j + 1, True), (i - 2, j + 1, False)), (i - 1, i)
+    else:
+        reads, masked = ((i, j, True), (i - 1, j + 1, False)), (i,)
     if reads[-1][0] < 2 or not degrees[i - 1] or not degrees[i - 3]:
         return None
     s = degrees[i - 1][0] - degrees[i - 3][0]  # > 0: lowest degrees rise along a minimal resolution
@@ -324,8 +379,8 @@ def _period(degrees, images, i: int, j: int, dead=None, weights=()):
             return None
         if imaged and images[k][:n] != images[k - 2][:n]:
             return None
-    same = (dead[k].get(j - w, []) == dead[k - 2].get(j - s - w, []) for k in (i - 1, i) for w in weights)
-    return s if dead is None or all(same) else None
+    same = (dead[k].get(j - w, []) == dead[k - 2].get(j - s - w, []) for k in masked for w in weights)
+    return s if all(same) else None
 
 
 def _resolve(ring: GradedRing, gens, i_max: int, d_max: int) -> TruncatedResolution:
@@ -353,14 +408,19 @@ def _resolve(ring: GradedRing, gens, i_max: int, d_max: int) -> TruncatedResolut
     # where that pass met a zero residual. images[i] keeps each vector as
     # (component, monomial, coefficient) terms. A cell copied from (i, j)
     # takes done[i][j] = (r_i, n_i), dead[i][j] and its new generators.
+    # need is the rank at which (i, j) gains no generator, n_{i-1} - r_{i-1}
+    # (step 1: any rank, unless an ideal generator of degree j is tested).
+    # There a certified pass, or a pass copied from (i - 2, j - s) with
+    # that rank, builds no column and no span, and leaves cols None; a
+    # kernel at (i + 1, j) that needs them reruns the pass.
     degrees = [[0]] + [[] for _ in range(i_max + 1)]
     images = [[] for _ in range(i_max + 2)]
     dead = [{} for _ in range(i_max + 1)]
     done = [{} for _ in range(i_max + 1)]
 
-    def rank_pass(k, j):  # step k's pass at j, over its generators below j
+    def rank_pass(k, j, need=None):  # step k's pass at j, over its generators below j
         c = bisect_left(degrees[k], j)
-        return _rank_pass(rb, images[k][:c], degrees[k][:c], degrees[k - 1], j, dead[k])
+        return _rank_pass(rb, images[k][:c], degrees[k][:c], degrees[k - 1], j, dead[k], need)
 
     start = candidates[0].homogeneous_degree() if candidates else d_max + 1
     for j in range(start, d_max + 1):
@@ -370,30 +430,39 @@ def _resolve(ring: GradedRing, gens, i_max: int, d_max: int) -> TruncatedResolut
             for p in candidates
             if p.homogeneous_degree() == j
         ]
-        cols = kept = None  # step i - 1's built columns at j; None where its cell was copied
+        cols = kept = None  # step i - 1's built columns and kept positions at j; None where not built
         # never leave the i-loop early: over an Artinian ring F_i can have
         # degree-j products, which step i + 1 needs, when F_{i-1} has none
         for i in range(1, i_max + 2):
             top = i > i_max
+            if i > 1:
+                prev_rank, prev_n = done[i - 1][j]
+            need = prev_n - prev_rank if i > 1 else (None if piece else 0)
             # a cell that reads what (i - 2, j - s) read, shifted, copies it
             s = None if top else _period(degrees, images, i, j, dead, weights)
             if s:
                 cols = kept = None
                 if i == i_max:  # the top kernel reads this step's columns
-                    _, cols, kept, _ = rank_pass(i, j)
+                    _, _, kept, cols, _ = rank_pass(i, j, need)
                 done[i][j], dead[i][j] = done[i - 2][j - s], dead[i - 2][j - s]
                 lo, hi = bisect_left(degrees[i - 2], j - s), bisect_right(degrees[i - 2], j - s)
                 degrees[i] += [j] * (hi - lo)
                 images[i] += images[i - 2][lo:hi]
                 continue
             if not top:
-                span, new_cols, new_kept, n = rank_pass(i, j)
-                done[i][j] = len(span.rows), n
+                # so does a pass alone (cell=False), where its rank leaves no generator
+                s = _period(degrees, images, i, j, dead, weights, False) if i < i_max else None
+                copied = done[i - 2].get(j - s) if s else None  # None where (i - 2, j - s) never ran
+                if copied and copied[0] == need:
+                    done[i][j], dead[i][j] = copied, dead[i - 2][j - s]
+                    new_cols = new_kept = None
+                else:
+                    r, n, new_kept, new_cols, span = rank_pass(i, j, need)
+                    done[i][j] = r, n
             if i > 1:
-                prev_rank, prev_n = done[i - 1][j]
-                new = len(cols) - prev_rank if top else prev_n - prev_rank - done[i][j][0]
-                if new > 0 and cols is None:  # rerun the pass of the copied cell (i - 1, j)
-                    _, cols, kept, _ = rank_pass(i - 1, j)
+                new = len(kept) - prev_rank if top else need - done[i][j][0]
+                if new > 0 and cols is None:  # step i - 1 built no columns at j: build them
+                    _, _, kept, cols, _ = rank_pass(i - 1, j)
                 kernel = kernel_of_columns(cols, len(cols), field) if new > 0 else []
                 piece = [{kept[k]: c for k, c in vec.items()} for vec in kernel]
             if piece:
@@ -475,7 +544,7 @@ def _tor_table(ring: GradedRing, I, J, i_max: int, d_max: int) -> TorTable:
             continue
         dead: dict = {}
         for j in range(min(degrees[i], default=d_max + 1), d_max + 1):
-            r = len(_rank_pass(nb, images[i], degrees[i], degrees[i - 1], j, dead)[0].rows)
+            r = _rank_pass(nb, images[i], degrees[i], degrees[i - 1], j, dead, 0)[0]
             if r:
                 ranks[i][j] = r
 

@@ -720,8 +720,27 @@ def test_kernels_only_where_generators_appear(name, monkeypatch):
 
 
 def _never(*args):
-    """Stands in for homology._period: no cell or step is copied."""
+    """Stands in for homology._period (no cell, pass or step is copied) or
+    homology._independent (no rank pass is certified)."""
     return None
+
+
+def _cells_only(period):
+    """homology._period for whole cells and Tor steps only: no rank pass
+    copies its outcome on its own (period's seventh argument is False)."""
+
+    def cells(degrees, images, i, j, *dead):
+        return None if dead[2:] == (False,) else period(degrees, images, i, j, *dead)
+
+    return cells
+
+
+def _shortcuts_off(monkeypatch):
+    """No certified rank and no pass copy: every rank pass that runs builds
+    and eliminates its columns, as it did before either shortcut existed.
+    Whole cells and Tor steps are still copied from two steps back."""
+    monkeypatch.setattr(homology, "_independent", _never)
+    monkeypatch.setattr(homology, "_period", _cells_only(homology._period))
 
 
 def _pass_step(res, tgt_degs, elems, j):
@@ -747,6 +766,7 @@ class _ResolveWork:
 
     def __init__(self, monkeypatch):
         self.builds, self.kernels, self.copied, self.reruns, self.tor_steps = [], [], set(), 0, 0
+        self.pass_periods = set()
         build, kernel = homology._image_columns, homology.kernel_of_columns
         period, rank_pass = homology._period, homology._rank_pass
 
@@ -761,14 +781,16 @@ class _ResolveWork:
 
         def shifted(degrees, images, i, j, *dead):
             s = period(degrees, images, i, j, *dead)
-            if s and dead:
+            if s and dead[2:] == (False,):
+                self.pass_periods.add((i, j))
+            elif s and dead:
                 self.copied.add((i, j))
             self.tor_steps += bool(s and not dead)
             return s
 
-        def passed(rb, elems, degs, tgt_degs, j, dead):
-            self.reruns += j in dead  # a copied cell's pass has its masks already
-            return rank_pass(rb, elems, degs, tgt_degs, j, dead)
+        def passed(rb, elems, degs, tgt_degs, j, dead, *need):
+            self.reruns += j in dead  # a copied or certified pass has its masks already
+            return rank_pass(rb, elems, degs, tgt_degs, j, dead, *need)
 
         monkeypatch.setattr(homology, "_image_columns", built)
         monkeypatch.setattr(homology, "kernel_of_columns", kernel_of)
@@ -789,17 +811,24 @@ def test_kernels_only_at_generator_cells_not_copied(name, monkeypatch):
     """A cell copied from two steps back computes no kernel; every other
     cell computes one exactly where F_i gains a generator, so the kernel
     cells are the generator cells less the copied ones. Copying fires on the
-    hypersurface and never on two_planes, whose Betti numbers grow."""
-    work = _ResolveWork(monkeypatch)
-    (R, I, i_max, d_max), = [case for n, *case in _resolution_cases() if n == name]
-    res = truncated_resolution(R, I, i_max, d_max)
-    _, kernels = work.resolved(res)
-    cells = {(i, j) for i in range(2, i_max + 1) for j in res.degrees[i]}
-    cells |= {(i_max + 1, j) for j in res.top_degrees}
-    assert len(kernels) == len(set(kernels))
-    assert set(kernels) == cells - work.copied
-    assert bool(work.copied) == name.startswith("cubic_cone")
-    assert work.reruns == 0
+    hypersurface and never on two_planes, whose Betti numbers grow. That
+    holds with certified ranks and pass copies on, which never serve a
+    generator cell, and with them off."""
+    for shortcuts in (True, False):
+        if not shortcuts:
+            monkeypatch.undo()
+            _shortcuts_off(monkeypatch)
+        work = _ResolveWork(monkeypatch)
+        (R, I, i_max, d_max), = [case for n, *case in _resolution_cases() if n == name]
+        res = truncated_resolution(R, I, i_max, d_max)
+        _, kernels = work.resolved(res)
+        cells = {(i, j) for i in range(2, i_max + 1) for j in res.degrees[i]}
+        cells |= {(i_max + 1, j) for j in res.top_degrees}
+        assert len(kernels) == len(set(kernels))
+        assert set(kernels) == cells - work.copied
+        assert bool(work.copied) == name.startswith("cubic_cone")
+        assert work.reruns == 0
+        assert bool(work.pass_periods) == (shortcuts and name.startswith("cubic_cone"))
 
 
 @pytest.mark.parametrize("field", ["qq", "fp:32003"])
@@ -807,20 +836,31 @@ def test_kernels_only_at_generator_cells_not_copied(name, monkeypatch):
 def test_periodic_steps_build_no_columns(field, window, monkeypatch):
     """Over the cubic cone the resolution is 2-periodic from step 4 on, so
     every cell of steps 6 to i_max - 1 is copied: they build no product
-    column and compute no kernel. Step i_max still builds its columns for
-    the top kernel."""
-    work = _ResolveWork(monkeypatch)
-    session = parse_session(CUBIC_SESSION, field_from_name(field))
+    column and compute no kernel. With certified ranks and pass copies off,
+    step i_max still builds its columns for the top kernel. With them on,
+    step 5's passes, whose reads repeat step 3's though step 4's do not
+    repeat step 2's, copy their ranks outside its generator cells and
+    build nothing either."""
     i_max, d_max = window
-    res = truncated_resolution(session.ring, session.ideals["I"], i_max, d_max)
-    builds, kernels = work.resolved(res)
-    columns = Counter()
-    for i, _, pairs, _ in builds:
-        columns[i] += len(pairs)
-    periodic = range(6, i_max)
-    assert not [i for i in columns if i in periodic and columns[i]]
-    assert not [cell for cell in kernels if cell[0] in periodic]
-    assert columns[5] and columns[i_max]
+    for shortcuts in (True, False):
+        if not shortcuts:
+            monkeypatch.undo()
+            _shortcuts_off(monkeypatch)
+        work = _ResolveWork(monkeypatch)
+        session = parse_session(CUBIC_SESSION, field_from_name(field))
+        res = truncated_resolution(session.ring, session.ideals["I"], i_max, d_max)
+        builds, kernels = work.resolved(res)
+        columns = Counter()
+        for i, _, pairs, _ in builds:
+            columns[i] += len(pairs)
+        periodic = range(6, i_max)
+        assert not [i for i in columns if i in periodic and columns[i]]
+        assert not [cell for cell in kernels if cell[0] in periodic]
+        if shortcuts:
+            assert columns[4] and not columns[5]
+            assert {j for i, j in work.pass_periods if i == 5} >= set(range(6, d_max + 1)) - set(res.degrees[5])
+        else:
+            assert columns[5] and columns[i_max]
 
 
 # ---------------------------------------------------------------------------
@@ -898,10 +938,12 @@ def test_period_compares_everything_a_step_or_cell_reads():
 
 @pytest.mark.parametrize("copy", ["every step", "odd steps"])
 def test_copied_cells_match_computed_ones(copy, monkeypatch):
-    """Copying a cell or a Tor step from two steps back is an exact
-    shortcut: with it on, resolutions and Tor tables equal those computed
-    with it off, field for field. With copying on odd steps only, a computed
-    cell whose kernel reads a copied cell's columns reruns that cell's pass."""
+    """Copying a cell, a rank pass or a Tor step from two steps back is an
+    exact shortcut: with it on, resolutions and Tor tables equal those
+    computed with it off and no rank certified, field for field. With
+    copying on odd steps only, a computed cell whose kernel reads a copied
+    cell's columns reruns that cell's pass. Both hold with certified ranks
+    and pass copies on, and with them off."""
 
     def outputs(R, I, J, i_max, d_max):
         res, tt = truncated_resolution(R, I, i_max, d_max), tor_table(R, I, J, i_max, d_max)
@@ -909,21 +951,232 @@ def test_copied_cells_match_computed_ones(copy, monkeypatch):
         return resolution, dict(tt.entries), tt.betti, tt.chi_complete_through
 
     monkeypatch.setattr(homology, "_period", _never)
+    monkeypatch.setattr(homology, "_independent", _never)
     expected = [outputs(*case) for _, *case in _differential_cases()]
-    monkeypatch.undo()
-    work = _ResolveWork(monkeypatch)
-    if copy == "odd steps":
-        period = homology._period
+    for shortcuts in (True, False):
+        monkeypatch.undo()
+        if not shortcuts:
+            _shortcuts_off(monkeypatch)
+        work = _ResolveWork(monkeypatch)
+        if copy == "odd steps":
+            period = homology._period
 
-        def odd(degrees, images, i, *more):
-            return i % 2 and period(degrees, images, i, *more)
+            def odd(degrees, images, i, *more):
+                return i % 2 and period(degrees, images, i, *more)
 
-        monkeypatch.setattr(homology, "_period", odd)
-    for (label, *case), want in zip(_differential_cases(), expected):
-        assert outputs(*case) == want, label
-        work.builds.clear()
-        work.kernels.clear()
-    assert work.copied and work.tor_steps and (work.reruns > 0) == (copy == "odd steps")
+            monkeypatch.setattr(homology, "_period", odd)
+        for (label, *case), want in zip(_differential_cases(), expected):
+            assert outputs(*case) == want, label
+            work.builds.clear()
+            work.kernels.clear()
+        assert work.copied and work.tor_steps and (work.reruns > 0) == (copy == "odd steps")
+
+
+# ---------------------------------------------------------------------------
+# certified and copied rank passes against passes that build their columns
+
+
+def _shortcut_cases():
+    """(label, ring, I, J, i_max, d_max), built afresh on every call so no
+    memo carries over: the recorded resolutions, each with J = I, and
+    seeded random quotients with two ideals over QQ, GF(2), GF(7) and
+    GF(32003)."""
+    cases = [(name, R, I, I, i_max, d_max) for name, R, I, i_max, d_max in _resolution_cases()]
+    for field in ("qq", "fp:2", "fp:7", "fp:32003"):
+        rng = random.Random(f"certified-{field}")
+        for n in range(6):
+            R, I, J = _random_quotient(rng, field_from_name(field), artinian=n % 2 == 0, ideals=2)
+            cases.append((f"random-{n}-{field}", R, I, J, 5, 8))
+    return cases
+
+
+def test_certified_and_copied_passes_match_built_ones(monkeypatch):
+    """Certified ranks and pass copies are exact shortcuts: with each of
+    them on or off, the generator degrees, the images (by digest), the top
+    set, the Tor entries and the completeness bound are those of the route
+    where every rank pass that runs builds and eliminates its columns.
+    Both shortcuts fire on these cases."""
+    period, independent = homology._period, homology._independent
+    fired = Counter()
+
+    def certify(*args):
+        ok = independent(*args)
+        fired["certified"] += ok
+        return ok
+
+    def copies(degrees, images, i, j, *dead):
+        s = period(degrees, images, i, j, *dead)
+        fired["pass periods"] += bool(s and dead[2:] == (False,))
+        return s
+
+    def outputs(R, I, J, i_max, d_max):
+        res, tt = truncated_resolution(R, I, i_max, d_max), tor_table(R, I, J, i_max, d_max)
+        return res.degrees, _resolution_digest(res), res.top_degrees, res.top_images, dict(tt.entries), tt.chi_complete_through
+
+    routes = {}
+    for certified in (False, True):
+        for copied in (False, True):
+            monkeypatch.setattr(homology, "_independent", certify if certified else _never)
+            monkeypatch.setattr(homology, "_period", copies if copied else _cells_only(period))
+            routes[certified, copied] = [(label, outputs(*case)) for label, *case in _shortcut_cases()]
+    built = routes.pop((False, False))
+    for route in routes.values():
+        for (label, got), (_, want) in zip(route, built):
+            assert got == want, label
+    assert fired["certified"] and fired["pass periods"]
+
+
+def _random_elements(rng, rb, tgt_degs, degs):
+    """Random nonzero elements of degrees degs in the free module over the
+    quotient of rb on tgt_degs, in standard monomials, as (component,
+    monomial, coefficient) terms sorted by coordinate position. Each is a
+    sparse random element or, one time in three, a sum of two earlier
+    elements' multiples, so that product columns often depend."""
+    p = rb.ring.field.p
+    coeff = (lambda: rng.randrange(1, p)) if p else (lambda: rng.choice((-3, -2, -1, 1, 2, 3)))
+    elems = []
+    for d in degs:
+        terms = {}
+        earlier = [k for k, e in enumerate(degs[: len(elems)]) if e <= d]
+        if len(earlier) >= 2 and rng.randrange(3) == 0:
+            for k in rng.sample(earlier, 2):
+                u = rng.choice(rb.basis(d - degs[k]) or [None])
+                for h, v, c in elems[k] if u else ():
+                    for m, c2 in rb.nf_monomial(tuple(a + b for a, b in zip(u, v))):
+                        terms[h, m] = terms.get((h, m), 0) + c * c2
+        if not any(terms.values()):
+            terms = {(h, m): coeff() for h, t in enumerate(tgt_degs) for m in rb.basis(d - t) if rng.random() < 0.4}
+        place = {(h, m): (h, rb.index(d - tgt_degs[h])[m]) for h, m in terms}
+        terms = {hm: c % p if p else c for hm, c in terms.items()}
+        elem = tuple((h, m, c) for (h, m), c in sorted(terms.items(), key=lambda t: place[t[0]]) if c)
+        elems.append(elem or ((0, rb.basis(d - tgt_degs[0])[0], 1),))
+    return elems
+
+
+def _dense_rank_of_columns(rb, cols, tgt_degs, j):
+    width = sum(rb.dim(j - t) for t in tgt_degs)
+    return dense_rank([[col.get(k, 0) for k in range(width)] for col in cols], rb.ring.field.p)
+
+
+def test_certificate_is_sound():
+    """Whenever _independent certifies the products u * elems[g], (g, u) in
+    pairs, their columns are independent: a dense rank of the built columns
+    equals their count. Inputs: every product of a resolution's generators
+    over R and over R/J, and random halves of them, on the dense cubic cone
+    and seeded random quotients; and random elements, some of them sums of
+    earlier elements' multiples, over random quotients."""
+    rng = random.Random(2300)
+    verdicts = Counter()
+
+    def check(rb, elems, pairs, tgt_degs, j):
+        ok = homology._independent(rb, elems, pairs, tgt_degs, j)
+        verdicts[ok] += 1
+        if ok:
+            cols = homology._image_columns(rb, elems, pairs, tgt_degs, j)
+            assert _dense_rank_of_columns(rb, cols, tgt_degs, j) == len(pairs), (elems, pairs, j)
+
+    rings = []
+    for field in ("qq", "fp:32003"):
+        session = parse_session(DENSE_CUBIC_CONE, field_from_name(field))
+        rings.append((session.ring, session.ideals["I"], session.ideals["J"]))
+    for field in ("qq", "fp:2", "fp:7", "fp:32003"):
+        for k in range(4):
+            rings.append(_random_quotient(rng, field_from_name(field), artinian=k % 2 == 0, ideals=2))
+    for R, I, J in rings:
+        res = truncated_resolution(R, I, 4, 7)
+        for rb in (homology._graded_basis(R), homology._graded_basis(R, J)):
+            for i in range(1, 5):
+                degs, elems, tgt = res.degrees[i], res.images[i], res.degrees[i - 1]
+                for j in range(8):
+                    pairs = [(g, u) for g, d in enumerate(degs) if d <= j for u in rb.basis(j - d)]
+                    check(rb, elems, pairs, tgt, j)
+                    check(rb, elems, [q for q in pairs if rng.random() < 0.5], tgt, j)
+        rb = homology._graded_basis(R, J)
+        for _ in range(20):
+            tgt = sorted(rng.randrange(0, 3) for _ in range(rng.randrange(1, 4)))
+            degs = sorted(tgt[0] + rng.randrange(1, 4) for _ in range(rng.randrange(1, 6)))
+            if all(rb.dim(d - tgt[0]) for d in degs):
+                elems = _random_elements(rng, rb, tgt, degs)
+                for j in range(degs[0], degs[-1] + 3):
+                    check(rb, elems, [(g, u) for g, d in enumerate(degs) for u in rb.basis(j - d)], tgt, j)
+    assert verdicts[True] > 100 and verdicts[False] > 100
+
+
+def test_images_are_sorted_by_coordinate_position():
+    """Every image and every element of the top set lists its terms in
+    strictly ascending coordinate position: by component, then by the
+    monomial's place in the standard basis of its degree, ascending in the
+    monomial order. _independent reads each generator's lead off that
+    order. Checked on the recorded resolutions, and at i_max = 0, where the
+    top set is the ideal's generators."""
+    generators = 0
+    for name, R, I, i_max, d_max in _resolution_cases():
+        rb = homology._graded_basis(R)
+        for top in (i_max, 0):
+            res = truncated_resolution(R, I, top, d_max)
+            steps = [(res.degrees[i], res.images[i], res.degrees[i - 1]) for i in range(1, top + 1)]
+            steps.append((res.top_degrees, res.top_images, res.degrees[top]))
+            generators += len(res.top_images) if top == 0 else 0
+            for degs, elems, tgt_degs in steps:
+                for d, elem in zip(degs, elems):
+                    where = [(h, rb.index(d - tgt_degs[h])[m]) for h, m, _ in elem]
+                    assert where == sorted(set(where)), (name, top, d)
+    assert generators > len(_resolution_cases())
+
+
+def _ladder_case(name, field):
+    """(ring, I, J) of the benchmark's tor ladder: two_planes or the cubic
+    cone, over the named field."""
+    k = field_from_name(field)
+    if name == "two_planes":
+        x, y, z, w = PolyRing(("x", "y", "z", "w"), field=k).gens()
+        return GradedRing(x.ring, [x * z, x * w, y * z, y * w]), (x, y, w), (y, z, w)
+    x, y, z = PolyRing(("x", "y", "z"), field=k).gens()
+    return GradedRing(x.ring, [x**3 + y**3 + z**3]), (x + y, z), (y, x + z)
+
+
+# product columns built for a Tor table, resolution included: with every
+# rank pass building its columns (certified ranks and pass copies off), and
+# with both shortcuts on
+COLUMNS_BUILT = {
+    ("two_planes", 6, 8): (4836, 2607),
+    ("cubic_cone", 12, 20): (2362, 1447),
+}
+
+
+@pytest.mark.parametrize("field", ["qq", "fp:32003"])
+@pytest.mark.parametrize("name, i_max, d_max", [("two_planes", 6, 8), ("cubic_cone", 12, 20)])
+def test_certified_passes_build_no_columns(name, i_max, d_max, field, monkeypatch):
+    """A certified rank pass builds no product column, and with certified
+    ranks and pass copies on, a Tor table with its resolution builds the
+    pinned number of columns, fewer than with both off."""
+    build, independent, rank_pass = homology._image_columns, homology._independent, homology._rank_pass
+    passes = []  # [certified, columns built] per rank pass
+
+    def passed(*args):
+        passes.append([False, 0])
+        return rank_pass(*args)
+
+    def certify(*args):
+        passes[-1][0] = independent(*args)
+        return passes[-1][0]
+
+    def built(rb, elems, pairs, tgt_degs, j):
+        passes[-1][1] += len(pairs)
+        return build(rb, elems, pairs, tgt_degs, j)
+
+    monkeypatch.setattr(homology, "_rank_pass", passed)
+    monkeypatch.setattr(homology, "_independent", certify)
+    monkeypatch.setattr(homology, "_image_columns", built)
+    tor_table(*_ladder_case(name, field), i_max, d_max)
+    before, now = COLUMNS_BUILT[name, i_max, d_max]
+    assert sum(n for _, n in passes) == now < before
+    assert [ok for ok, _ in passes].count(True) > len(passes) // 2
+    assert not [n for ok, n in passes if ok and n]
+    passes.clear()
+    _shortcuts_off(monkeypatch)
+    tor_table(*_ladder_case(name, field), i_max, d_max)
+    assert sum(n for _, n in passes) == before
 
 
 # ---------------------------------------------------------------------------
@@ -981,8 +1234,10 @@ def test_skipped_columns_reduce_to_zero_in_a_full_pass(name, monkeypatch):
     all the products before it, and the rank r_i of the built columns is
     the rank of all of them. The reference pass works on ambient monomials
     modulo the relations, with its own elimination. Each pass is mapped to
-    its step by what it reads; with no cell copied from two steps back,
-    every degree visits steps 1..i_max in turn."""
+    its step by what it reads; with no cell copied from two steps back and
+    no rank certified, every degree visits steps 1..i_max in turn. With
+    certified ranks and pass copies on, the passes that still build their
+    columns are checked the same way."""
     calls = []
     build = homology._image_columns
 
@@ -992,15 +1247,21 @@ def test_skipped_columns_reduce_to_zero_in_a_full_pass(name, monkeypatch):
         return cols
 
     monkeypatch.setattr(homology, "_image_columns", recorded)
+    certified, _ = _assert_criterion_on_passes(name, calls, True)
+    _shortcuts_off(monkeypatch)
     for copying in (True, False):
         if not copying:
             monkeypatch.setattr(homology, "_period", _never)
-        _assert_criterion_on_passes(name, calls, copying)
+        built, skipped = _assert_criterion_on_passes(name, calls, copying)
+        assert skipped > 0 and built > 0
+        if copying:
+            assert 0 < certified < built
 
 
 def _assert_criterion_on_passes(name, calls, copying):
     """The checks of test_skipped_columns_reduce_to_zero_in_a_full_pass on
-    every pass the resolutions of one criterion case run."""
+    every pass the resolutions of one criterion case run; returns the
+    columns built and skipped."""
     built = skipped = 0
     for R, I, i_max, d_max in _criterion_cases(name):
         calls.clear()
@@ -1027,7 +1288,7 @@ def _assert_criterion_on_passes(name, calls, copying):
             built += len(pairs)
             skipped += len(full) - len(pairs)
         assert set(step.values()) <= {i_max}
-    assert skipped > 0 and built > 0
+    return built, skipped
 
 
 def _tor_criterion_cases(name):
@@ -1059,7 +1320,9 @@ def test_skipped_tor_columns_reduce_to_zero_in_a_full_pass(name, monkeypatch):
     and the top generating set: at every (i, j) each product left out
     reduces to zero against all the products before it, and the rank of
     the built products is the rank of all of them. The reference pass works
-    on ambient monomials modulo the relations and J's multiples."""
+    on ambient monomials modulo the relations and J's multiples. With
+    certified ranks on, the passes that still build their columns are
+    checked the same way, and they build fewer columns."""
     calls = []
     build = homology._image_columns
 
@@ -1069,6 +1332,17 @@ def test_skipped_tor_columns_reduce_to_zero_in_a_full_pass(name, monkeypatch):
         return cols
 
     monkeypatch.setattr(homology, "_image_columns", recorded)
+    certified, _ = _assert_tor_criterion_on_passes(name, calls)
+    _shortcuts_off(monkeypatch)
+    built, skipped = _assert_tor_criterion_on_passes(name, calls)
+    assert skipped > 0 and built > 0
+    assert 0 < certified < built
+
+
+def _assert_tor_criterion_on_passes(name, calls):
+    """The checks of test_skipped_tor_columns_reduce_to_zero_in_a_full_pass
+    on every pass the Tor tables of one criterion case run; returns the
+    columns built and skipped."""
     built = skipped = 0
     for R, I, J, i_max, d_max in _tor_criterion_cases(name):
         res = truncated_resolution(R, I, i_max, d_max)
@@ -1094,7 +1368,7 @@ def test_skipped_tor_columns_reduce_to_zero_in_a_full_pass(name, monkeypatch):
                     assert z, (i, j, q)
             built += len(pairs)
             skipped += len(full) - len(pairs)
-    assert skipped > 0 and built > 0
+    return built, skipped
 
 
 # ---------------------------------------------------------------------------
