@@ -37,11 +37,8 @@ from .errors import (
 )
 from .groebner import (
     GroebnerBasis,
-    MonomialIdeal,
     buchberger,
-    leading_ideal,
     reduce_against,
-    standard_monomials,
 )
 from .hilbert import (
     DimMult,
@@ -91,7 +88,6 @@ __all__ = [
     "ImproperIntersectionError",
     "Infinity",
     "IntPoly",
-    "MonomialIdeal",
     "Poly",
     "PolyRing",
     "PrimeField",
@@ -116,7 +112,6 @@ __all__ = [
     "gulliksen_chi",
     "hilbert_numerator",
     "hilbert_series",
-    "leading_ideal",
     "naive_series",
     "one_minus_t_valuation",
     "parse_polynomial",
@@ -127,7 +122,6 @@ __all__ = [
     "ratfun_normalize",
     "reduce_against",
     "series_expand",
-    "standard_monomials",
     "tor_table",
     "truncated_resolution",
     "weights_denominator",

@@ -1,15 +1,13 @@
-"""Buchberger's algorithm, normal forms, leading-term ideals, standard monomials.
+"""Buchberger's algorithm and normal forms.
 
 Buchberger's loop works on leading monomials first. An S-polynomial is
 divided only until its leading term cannot be reduced; the rest of the
 working polynomial becomes the new element's tail, unreduced. The loop
 returns the minimal basis (sorted by leading monomial, no lead dividing
-another), which is all that division, leading ideals and Hilbert series
-need: normal forms against any Groebner basis of an ideal are the same. The
-reduced Groebner basis (monic, self-reduced, same order), unique for a given
-ideal, is built from the minimal one the first time GroebnerBasis.generators
-is read, so every computation is deterministic and none that reads only
-leads or normal forms pays for tail reduction.
+another), which is all that the library reads: Hilbert series need only its
+leading monomials, and normal forms against any Groebner basis of an ideal
+are the same, so division needs no tail reduction. The reduced Groebner
+basis is not built here.
 
 Pair selection follows the normal strategy (smallest weighted-degree lcm
 first) with Buchberger's coprime and chain criteria, and with a Hilbert
@@ -55,60 +53,28 @@ import heapq
 from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import add, le, mul, sub
-from typing import NamedTuple
 
 from .errors import AlgebraError
 from .rings import GradedRing, Poly, PolyRing, mono_divides, mono_lcm, mono_mul
 
 
 class GroebnerBasis:
-    """A Groebner basis: minimal reducers for division, and the reduced
-    generators on first read.
+    """A Groebner basis as the minimal reducers division reads.
 
     reducers is the minimal basis buchberger returns, in reducer form
     (leading monomial, integer lead, tail), sorted by leading monomial, no
-    lead dividing another; tails are not reduced. Division, leading
-    monomials and everything built on them read only these. generators is
-    the reduced Groebner basis, monic and in the same order: it is computed
-    from the reducers (each tail reduced against the other elements) the
-    first time it is read, or iterated or compared, and kept.
+    lead dividing another; tails are not reduced. Normal forms, leading
+    monomials and the Hilbert series built on them read only these.
     """
 
-    __slots__ = ("ring", "reducers", "_generators")
+    __slots__ = ("ring", "reducers")
 
     def __init__(self, ring: PolyRing, reducers):
         self.ring = ring
         self.reducers = tuple(reducers)
-        self._generators = None
-
-    @property
-    def generators(self):
-        if self._generators is None:
-            ring = self.ring
-            self._generators = tuple(
-                _scaled_poly(ring, dict(((lm, lc), *tail)), lc)
-                for lm, lc, tail in _tail_reduce(ring, self.reducers)
-            )
-        return self._generators
 
     def leading_monomials(self):
         return tuple(r[0] for r in self.reducers)
-
-    def __len__(self):
-        return len(self.reducers)
-
-    def __iter__(self):
-        return iter(self.generators)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroebnerBasis)
-            and other.ring == self.ring
-            and other.generators == self.generators
-        )
-
-    def __repr__(self):
-        return f"GroebnerBasis({', '.join(str(g) for g in self.generators)})"
 
 
 def _heap_key(weights, m):
@@ -222,7 +188,7 @@ def reduce_against(p: Poly, reducers) -> Poly:
     """Full normal form of p against an ordered list of reducers, or against
     a GroebnerBasis, whose minimal basis is kept in reducer form. Against a
     Groebner basis the normal form depends only on the ideal, so dividing
-    by the minimal reducers gives what the reduced generators would.
+    by the minimal reducers gives what any other Groebner basis of it would.
 
     Every term of the result is divisible by no reducer leading monomial;
     the first reducer (in list order) whose leading monomial divides is used
@@ -340,8 +306,7 @@ class _StandardCount:
 def buchberger(gens, ring: PolyRing | GradedRing | None = None) -> GroebnerBasis:
     """A Groebner basis of the ideal generated by gens; over a GradedRing,
     of its relations (first, in reducer form built once in its memo) and
-    gens. Its reducers are the minimal basis, its generators the reduced
-    basis, built when first read.
+    gens. Its reducers are the minimal basis.
 
     Deterministic: the run uses a fixed pair strategy (ascending order key
     of the pair lcm, which starts with its weighted degree, then indices).
@@ -438,24 +403,6 @@ def _minimal(basis, ring: PolyRing):
     return minimal
 
 
-def _tail_reduce(ring: PolyRing, minimal):
-    """The reduced Groebner basis, in reducer form and in the same order,
-    from a minimal one: each element's tail fully reduced against the
-    others. No other lead divides an element's lead, and no term below the
-    lead is divisible by it, so the lead stays and the result is reduced."""
-    reduced = []
-    for i, (lm, lc, tail) in enumerate(minimal):
-        work = dict(tail)
-        work[lm] = lc
-        r, _ = _divide(ring, work, 1, minimal[:i] + minimal[i + 1 :])
-        reduced.append(_make_reducer(ring, lm, r))
-    return reduced
-
-
-# ---------------------------------------------------------------------------
-# monomial ideals and standard monomials
-
-
 def minimalize_monomials(monos):
     """Minimal generators of the monomial ideal spanned by monos, sorted."""
     ms = sorted(set(monos), key=lambda m: (sum(m), m))
@@ -465,52 +412,3 @@ def minimalize_monomials(monos):
             continue
         out.append(m)
     return tuple(sorted(out))
-
-
-class MonomialIdeal(NamedTuple):
-    """A monomial ideal given by its minimal generators."""
-
-    generators: tuple
-
-    def contains(self, m) -> bool:
-        return any(mono_divides(g, m) for g in self.generators)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.generators
-
-
-def leading_ideal(gb: GroebnerBasis) -> MonomialIdeal:
-    """The ideal of leading monomials of a Groebner basis."""
-    return MonomialIdeal(minimalize_monomials(gb.leading_monomials()))
-
-
-def monomials_of_wdeg(weights, j: int):
-    """All exponent tuples of weighted degree exactly j, lexicographically."""
-    s = len(weights)
-    if j < 0:
-        return
-
-    def rec(i, remaining, prefix):
-        if i == s - 1:
-            w = weights[i]
-            if remaining % w == 0:
-                yield prefix + (remaining // w,)
-            return
-        w = weights[i]
-        for e in range(remaining // w + 1):
-            yield from rec(i + 1, remaining - e * w, prefix + (e,))
-
-    yield from rec(0, j, ())
-
-
-def standard_monomials(gb: GroebnerBasis, j: int):
-    """The monomials of weighted degree j outside the leading ideal.
-
-    These form a k-basis of the degree-j piece of the quotient by the ideal of
-    gb. Returned in ascending monomial order.
-    """
-    lead = leading_ideal(gb)
-    out = [m for m in monomials_of_wdeg(gb.ring.weights, j) if not lead.contains(m)]
-    out.sort(key=gb.ring.key)
-    return out

@@ -1,7 +1,7 @@
 """Hilbert series of graded quotients, with dimension and multiplicity.
 
 The series of S/I is N(t) / prod_i (1 - t^{d_i}) where the numerator N is
-computed from the leading-term ideal of a Groebner basis of I by the usual
+computed from the leading monomials of a Groebner basis of I by the usual
 variable-splitting recursion. Dimension is read off as the pole order at
 t = 1 and the multiplicity as the value there after clearing the pole.
 """
@@ -21,7 +21,7 @@ from .arith import (
     series_expand,
 )
 from .errors import AlgebraError
-from .groebner import MonomialIdeal, leading_ideal, minimalize_monomials
+from .groebner import minimalize_monomials
 from .rings import GradedRing, homogeneous_gens, mono_is_one, wdeg
 
 
@@ -44,16 +44,17 @@ def _pairwise_coprime(monos) -> bool:
     return True
 
 
-def hilbert_numerator(mi, weights) -> IntPoly:
-    """Numerator N(t) with HS_{S/mi}(t) = N(t) / prod(1 - t^{d_i}).
+def hilbert_numerator(monos, weights) -> IntPoly:
+    """Numerator N(t) with HS_{S/I}(t) = N(t) / prod(1 - t^{d_i}), for I the
+    monomial ideal that monos generate.
 
-    Accepts a MonomialIdeal or any iterable of exponent tuples. Splits on the
-    variable occurring in the most minimal generators and recurses via
-    N(I) = N(I + <x_v>) + t^{w_v} * N(I : x_v) until the generators are
-    pairwise coprime.
+    monos is any iterable of exponent tuples, such as the leading monomials
+    of a Groebner basis; it is reduced to I's minimal generators first.
+    Splits on the variable occurring in the most minimal generators and
+    recurses via N(I) = N(I + <x_v>) + t^{w_v} * N(I : x_v) until the
+    generators are pairwise coprime.
     """
-    gens = mi.generators if isinstance(mi, MonomialIdeal) else minimalize_monomials(mi)
-    return _numerator(gens, tuple(weights))
+    return _numerator(minimalize_monomials(monos), tuple(weights))
 
 
 def _numerator(gens, weights) -> IntPoly:
@@ -152,4 +153,4 @@ def hilbert_series(ring: GradedRing, gens=()) -> HilbertSeries:
     """
     gens = homogeneous_gens(ring, gens)
     gb = ring.groebner(gens)
-    return HilbertSeries(hilbert_numerator(leading_ideal(gb), ring.weights), ring.weights)
+    return HilbertSeries(hilbert_numerator(gb.leading_monomials(), ring.weights), ring.weights)

@@ -119,9 +119,9 @@ class GradedBasis:
         self._up: dict = {}
 
     def basis(self, j: int):
-        """Standard monomials of degree j in ascending monomial order, as
-        groebner.standard_monomials lists them. A monomial is standard when
-        it is no leading monomial and each of its one-variable divisors is
+        """Standard monomials of degree j, those no leading monomial
+        divides, in ascending monomial order. A monomial is standard when it
+        is no leading monomial and each of its one-variable divisors is
         standard (a leading monomial dividing it properly would divide one
         of those), so degree j is built from the lower degrees' bases."""
         if j < 0:

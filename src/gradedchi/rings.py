@@ -17,7 +17,7 @@ value is.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, le, mul, neg, sub
+from operator import add, le, mul, neg
 
 from .errors import AlgebraError, HomogeneityError
 
@@ -32,11 +32,6 @@ def mono_mul(a, b):
 def mono_divides(a, b):
     """True if a | b, i.e. a <= b componentwise."""
     return all(map(le, a, b))
-
-
-def mono_div(a, b):
-    """a / b for b | a."""
-    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a, b):

@@ -14,8 +14,10 @@ resolution step, the reference for the columns the resolution skips.
 plain_buchberger is the pair loop with the coprime and chain criteria only,
 the reference for the pairs the Hilbert criterion drops. eager_buchberger is
 the same loop as it was before it stopped at the lead: every S-polynomial
-fully reduced, and the basis tail-reduced at the end, the reference for the
-reduced generators and normal forms of the leads-first loop.
+fully reduced, and the basis tail-reduced at the end by reduced_generators,
+the reference for the leading monomials and normal forms of the leads-first
+loop. reduced_generators is also the reduced Groebner basis the tests read,
+which the library does not build.
 
 Nothing here imports gradedchi at module level: the benchmark harness
 imports this file without the library on its path.
@@ -43,6 +45,19 @@ def monomials_of_degree(weights, j):
 
     rec(0, j, [])
     return out
+
+
+def enumerated_standard_monomials(gb, j):
+    """The monomials of weighted degree j that no leading monomial of the
+    GroebnerBasis gb divides, by enumerating the whole degree, in ascending
+    order of gb.ring.key."""
+    leads = gb.leading_monomials()
+    out = [
+        m
+        for m in monomials_of_degree(gb.ring.weights, j)
+        if not any(all(a <= b for a, b in zip(lm, m)) for lm in leads)
+    ]
+    return sorted(out, key=gb.ring.key)
 
 
 def dense_rank(rows, p=0):
@@ -591,10 +606,30 @@ def plain_buchberger(gens, ring=None):
     return groebner.GroebnerBasis(ring, groebner._minimal(basis, ring))
 
 
+def reduced_generators(gb):
+    """The reduced Groebner basis of a GroebnerBasis: monic Polys in the
+    order of its reducers' leading monomials, each element's tail fully
+    reduced against the other reducers. No other lead divides an element's
+    lead, and no term below the lead is divisible by it, so the lead stays
+    and the result is reduced; for a reduced basis this changes nothing."""
+    from gradedchi import groebner
+
+    ring, reducers = gb.ring, list(gb.reducers)
+    out = []
+    for i, (lm, lc, tail) in enumerate(reducers):
+        work = dict(tail)
+        work[lm] = lc
+        r, _ = groebner._divide(ring, work, 1, reducers[:i] + reducers[i + 1 :])
+        lm, lc, tail = groebner._make_reducer(ring, lm, r)
+        out.append(groebner._scaled_poly(ring, dict(((lm, lc), *tail)), lc))
+    return out
+
+
 def eager_buchberger(gens, ring=None):
     """The pair loop with every S-polynomial fully reduced, then the basis
-    minimalized and tail-reduced: a GroebnerBasis whose reducers are already
-    the reduced basis, in order of leading monomial."""
+    minimalized and tail-reduced by reduced_generators: a GroebnerBasis
+    whose reducers are already the reduced basis, in order of leading
+    monomial."""
     from gradedchi import groebner
     from gradedchi.rings import mono_divides
 
@@ -603,10 +638,5 @@ def eager_buchberger(gens, ring=None):
     for b in sorted(basis, key=lambda b: ring.key(b[0])):
         if not any(mono_divides(h[0], b[0]) for h in minimal):
             minimal.append(b)
-    reduced = []
-    for i, (lm, lc, tail) in enumerate(minimal):
-        work = dict(tail)
-        work[lm] = lc
-        r, _ = groebner._divide(ring, work, 1, minimal[:i] + minimal[i + 1 :])
-        reduced.append(groebner._make_reducer(ring, lm, r))
-    return groebner.GroebnerBasis(ring, reduced)
+    reduced = reduced_generators(groebner.GroebnerBasis(ring, minimal))
+    return groebner.GroebnerBasis(ring, map(groebner._reducer, reduced))

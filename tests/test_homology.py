@@ -16,7 +16,7 @@ from gradedchi.arith import series_expand
 from gradedchi.chi import chi_series, gulliksen_chi
 from gradedchi.cli import bundled_sessions, run
 from gradedchi.errors import AlgebraError, ImproperIntersectionError
-from gradedchi.groebner import reduce_against, standard_monomials
+from gradedchi.groebner import reduce_against
 from gradedchi.hilbert import dim_and_mult, hilbert_series
 from gradedchi.homology import (
     chi_truncated,
@@ -29,6 +29,7 @@ from gradedchi.session import parse_session
 
 from oracles import (
     dense_rank,
+    enumerated_standard_monomials,
     full_column_pass,
     ideal_piece_rows,
     max_wdeg,
@@ -584,15 +585,15 @@ def _basis_cases():
 
 
 def test_graded_basis_matches_standard_monomials():
-    """basis(j), built from the lower degrees' bases, is
-    standard_monomials(gb, j) in the same order, whichever degree is asked
-    first; nf_monomial, which answers a standard monomial by itself, is the
-    normal form from reduce_against for every monomial."""
+    """basis(j), built from the lower degrees' bases, is the enumerated
+    standard monomials of degree j in the same order, whichever degree is
+    asked first; nf_monomial, which answers a standard monomial by itself,
+    is the normal form from reduce_against for every monomial."""
     for R, gens in _basis_cases():
         gb = R.groebner(gens)
         rb = homology.GradedBasis(gb)
         for j in (9, *range(9)):
-            assert rb.basis(j) == tuple(standard_monomials(gb, j)), (R, gens, j)
+            assert rb.basis(j) == tuple(enumerated_standard_monomials(gb, j)), (R, gens, j)
         one = R.field.one
         for j in range(6):
             for m in monomials_of_degree(R.ambient.weights, j):

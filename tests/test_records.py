@@ -1,9 +1,10 @@
-"""The library's record types, and what importing the library loads.
+"""The library's record types, its public names, and what importing the
+library and the test oracles loads.
 
-Seven records are NamedTuples (RatFun, ChiResult, MonomialIdeal,
-TruncatedResolution, TorTable, Command, RunOptions); HilbertSeries is an
-immutable __slots__ class that sorts its weights; Report and Session are
-mutable __slots__ classes.
+Six records are NamedTuples (RatFun, ChiResult, TruncatedResolution,
+TorTable, Command, RunOptions); HilbertSeries is an immutable __slots__
+class that sorts its weights; Report and Session are mutable __slots__
+classes.
 """
 
 import os
@@ -21,7 +22,6 @@ from gradedchi import (
     GradedRing,
     HilbertSeries,
     IntPoly,
-    MonomialIdeal,
     PolyRing,
     RatFun,
     Session,
@@ -33,6 +33,7 @@ from gradedchi import (
 from gradedchi.cli import Report, RunOptions
 
 SRC = Path(gradedchi.__file__).resolve().parents[1]
+TESTS = Path(__file__).resolve().parent
 
 
 def _cone():
@@ -49,7 +50,6 @@ def _frozen_records():
     records = [
         (RatFun, (one, IntPoly((1, 1)))),
         (ChiResult, tuple(getattr(res, f) for f in ChiResult._fields)),
-        (MonomialIdeal, (((0, 1), (1, 0)),)),
         (TruncatedResolution, (cone, d, 2, 4, ((0,), (1, 1)), ((), ()), (2,), ((),))),
         (TorTable, (3, 5, {(0, 0): 1, (1, 2): 2}, 4, ((0,), (1, 1)))),
         (Command, ("chi", ("D", "C"), None, None, {"imax": 2}, 3, 1)),
@@ -148,15 +148,11 @@ def test_report_and_session_are_mutable_with_the_same_parameters():
 
 
 def test_import_loads_no_dataclasses_inspect_or_argparse(tmp_path):
-    # the baseline is a bare start of the same interpreter, so whatever its
-    # site initialisation loads does not count against the library
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-
-    def loaded(statement):
+    def loaded(statement, path=SRC):
         code = f"import sys\n{statement}\nprint(' '.join(sys.modules))"
         done = subprocess.run(
             [sys.executable, "-c", code],
-            env=env,
+            env={**os.environ, "PYTHONPATH": str(path)},
             cwd=tmp_path,
             capture_output=True,
             text=True,
@@ -165,6 +161,35 @@ def test_import_loads_no_dataclasses_inspect_or_argparse(tmp_path):
         assert done.returncode == 0, done.stderr
         return set(done.stdout.split())
 
+    # the baseline is a bare start of the same interpreter, so whatever its
+    # site initialisation loads does not count against the library
     added = loaded("import gradedchi, gradedchi.cli") - loaded("pass")
     assert {"gradedchi", "gradedchi.cli"} <= added
     assert not added & {"dataclasses", "inspect", "argparse", "json"}
+    # the oracles import without the library: the benchmark harness loads
+    # them with only tests/ on its path
+    added = loaded("import oracles", TESTS)
+    assert "oracles" in added
+    assert not {m for m in added if m == "gradedchi" or m.startswith("gradedchi.")}
+
+
+_REMOVED = (
+    "MonomialIdeal",
+    "leading_ideal",
+    "standard_monomials",
+    "monomials_of_wdeg",
+    "_tail_reduce",
+)
+
+
+def test_public_names_resolve_and_removed_ones_are_gone():
+    from gradedchi import groebner, rings
+
+    for name in gradedchi.__all__:
+        assert getattr(gradedchi, name) is not None, name
+    assert len(set(gradedchi.__all__)) == len(gradedchi.__all__)
+    for name in _REMOVED:
+        assert not hasattr(gradedchi, name) and not hasattr(groebner, name), name
+    assert not hasattr(rings, "mono_div")
+    for name in ("generators", "_generators", "__iter__", "__len__", "__eq__", "__repr__"):
+        assert name not in vars(groebner.GroebnerBasis), name
