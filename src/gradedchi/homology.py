@@ -52,16 +52,19 @@ and the Tor ranks build their columns from them directly.
 
 Most rank passes only confirm a rank that their products' leading terms
 already prove, as in the Schreyer frames of La Scala and Stillman. An
-image's terms are sorted by coordinate position, so its lead (h0, m0), the
-first component and the largest monomial on it, is its last term on h0.
-If every kept product u * g has u * m0 standard and no two share
-(h0, u * m0), the columns are triangular under (component ascending,
-monomial descending), since normal forms never exceed the monomial they
-reduce; so they are independent, and the pass takes their count as its
-rank and its skip masks as its dead masks, and builds no column and no span
-(see _independent). A resolution pass does so only where that count
-reaches n_{i-1} - r_{i-1}, so that the cell gains no generator; the Tor
-ranks do so wherever the certificate holds.
+image's lead (h0, m0) is taken on its first or on its last component h0,
+with m0 the largest monomial there, its last term on h0, since terms are
+sorted by coordinate position. If, for one of the two, every kept product
+u * g has u * m0 standard and no two share (h0, u * m0), the columns are
+triangular under (component ascending, monomial descending), or under
+(component descending, monomial descending) for the last: a product lies
+on its generator's components only, and normal forms never exceed the
+monomial they reduce. So they are independent, and the pass takes their count as its rank and
+its skip masks as its dead masks, and builds no column and no span (see
+_independent). A resolution pass does so only where that count reaches
+n_{i-1} - r_{i-1}, so that the cell gains no generator; the Tor ranks do
+so wherever the certificate holds. Both orders are needed: only the first
+serves two_planes, only the last the cubic cone's steps 2 to 4.
 
 A cell (i, j) of the resolution that reads what cell (i - 2, j - s) read,
 every degree raised by s, copies that cell's outcome, and a Tor step copies
@@ -227,9 +230,9 @@ class TruncatedResolution(NamedTuple):
     sorted by coordinate position: by component, which indexes F_{i-1}'s
     generators, then by monomial, ascending in the monomial order. The
     rank passes rely on that order: an image's largest monomial on its first
-    component is its last term there. Coefficients are ints (primitive over
-    QQ, in [0, p) over GF(p)). F_0 = R always, presenting the cyclic module
-    R/I.
+    or its last component is its last term there. Coefficients are ints
+    (primitive over QQ, in [0, p) over GF(p)). F_0 = R always, presenting
+    the cyclic module R/I.
 
     top_images generates ker d_{i_max} through degree d_max, in terms over
     F_{i_max}'s generators like images, but not minimally: the kernel
@@ -290,28 +293,36 @@ def truncated_resolution(ring: GradedRing, gens, i_max: int = 8, d_max: int = 16
 def _independent(rb: GradedBasis, elems, pairs, tgt_degs, j: int) -> bool:
     """True when the degree-j columns u * elems[g], (g, u) in pairs, are
     certified independent without building them. Each generator's lead is
-    (h0, m0): h0 the first component of its image, m0 the largest monomial
-    on it, which is its last term there, since terms are sorted by
-    coordinate position. If every u * m0 is standard in rb and no two
-    products share (h0, u * m0), that entry is nonzero in its column and
-    every other entry of the column on h0 is at a smaller monomial, since
-    normal forms never exceed the monomial they reduce: the columns are
-    triangular under (component ascending, monomial descending)."""
-    seen: set = set()
-    last = None
-    for g, u in pairs:
-        if g != last:
-            last, elem = g, elems[g]
-            h0 = elem[0][0]
-            k = 1
-            while k < len(elem) and elem[k][0] == h0:
-                k += 1
-            m0, idx = elem[k - 1][1], rb.index(j - tgt_degs[h0])
-        m = tuple(map(add, u, m0))
-        if m not in idx or (h0, m) in seen:
-            return False
-        seen.add((h0, m))
-    return True
+    (h0, m0), tried two ways: h0 the first component of its image, or the
+    last, and m0 the largest monomial on h0, which is its last term there,
+    since terms are sorted by coordinate position. A product lies on its
+    generator's components only, and normal forms never exceed the
+    monomial they reduce; so if every u * m0 is standard in rb and no two
+    products share (h0, u * m0), that entry is nonzero in its column and the
+    column's other entries lie on components past h0 (before h0 for the
+    last), or on h0 at smaller monomials. The columns are then triangular
+    under (component ascending, monomial descending), or under (component
+    descending, monomial descending) for the last."""
+    for first in (True, False):
+        seen: set = set()
+        prev = None
+        for g, u in pairs:
+            if g != prev:
+                prev, elem = g, elems[g]
+                k = len(elem)
+                if first:
+                    k = 1
+                    while k < len(elem) and elem[k][0] == elem[0][0]:
+                        k += 1
+                h0, m0, _ = elem[k - 1]
+                idx = rb.index(j - tgt_degs[h0])
+            m = tuple(map(add, u, m0))
+            if m not in idx or (h0, m) in seen:
+                break
+            seen.add((h0, m))
+        else:
+            return True
+    return False
 
 
 def _rank_pass(rb: GradedBasis, elems, degs, tgt_degs, j: int, dead: dict, need=None):

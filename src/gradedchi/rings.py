@@ -485,8 +485,8 @@ class GradedRing:
         return memo[key]
 
     def groebner(self, gens=()):
-        """Groebner basis of (relations + gens), memoised: minimal reducers,
-        reduced generators on first read."""
+        """Groebner basis of (relations + gens), memoised: minimal reducers
+        and their leads."""
         from .groebner import buchberger
 
         gens = tuple(gens)

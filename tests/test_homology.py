@@ -993,16 +993,21 @@ def _shortcut_cases():
 
 def test_certified_and_copied_passes_match_built_ones(monkeypatch):
     """Certified ranks and pass copies are exact shortcuts: with each of
-    them on or off, the generator degrees, the images (by digest), the top
+    them on or off, and with the certificate's ascending order alone and
+    pass copies on, the generator degrees, the images (by digest), the top
     set, the Tor entries and the completeness bound are those of the route
     where every rank pass that runs builds and eliminates its columns.
-    Both shortcuts fire on these cases."""
+    Both shortcuts, and the certificate's descending order, fire on these
+    cases."""
     period, independent = homology._period, homology._independent
     fired = Counter()
+
+    ascending = _ascending(independent)
 
     def certify(*args):
         ok = independent(*args)
         fired["certified"] += ok
+        fired["descending only"] += ok and not ascending(*args)
         return ok
 
     def copies(degrees, images, i, j, *dead):
@@ -1020,11 +1025,25 @@ def test_certified_and_copied_passes_match_built_ones(monkeypatch):
             monkeypatch.setattr(homology, "_independent", certify if certified else _never)
             monkeypatch.setattr(homology, "_period", copies if copied else _cells_only(period))
             routes[certified, copied] = [(label, outputs(*case)) for label, *case in _shortcut_cases()]
+    monkeypatch.setattr(homology, "_independent", ascending)
+    monkeypatch.setattr(homology, "_period", copies)
+    routes["ascending", True] = [(label, outputs(*case)) for label, *case in _shortcut_cases()]
     built = routes.pop((False, False))
     for route in routes.values():
         for (label, got), (_, want) in zip(route, built):
             assert got == want, label
-    assert fired["certified"] and fired["pass periods"]
+    assert fired["certified"] and fired["pass periods"] and fired["descending only"]
+
+
+def _ascending(independent):
+    """independent (homology._independent) with its ascending order alone:
+    each element is cut to its terms on its first component, where its last
+    term is the lead of both orders."""
+
+    def ascending(rb, elems, *rest):
+        return independent(rb, [tuple(t for t in elem if t[0] == elem[0][0]) for elem in elems], *rest)
+
+    return ascending
 
 
 def _random_elements(rng, rb, tgt_degs, degs):
@@ -1059,19 +1078,22 @@ def _dense_rank_of_columns(rb, cols, tgt_degs, j):
     return dense_rank([[col.get(k, 0) for k in range(width)] for col in cols], rb.ring.field.p)
 
 
-def test_certificate_is_sound():
+def test_certificate_is_sound(monkeypatch):
     """Whenever _independent certifies the products u * elems[g], (g, u) in
     pairs, their columns are independent: a dense rank of the built columns
     equals their count. Inputs: every product of a resolution's generators
     over R and over R/J, and random halves of them, on the dense cubic cone
-    and seeded random quotients; and random elements, some of them sums of
-    earlier elements' multiples, over random quotients."""
+    and seeded random quotients; random elements, some of them sums of
+    earlier elements' multiples, over random quotients; and every pass that
+    a cubic cone Tor table asks about, where many verdicts come from the
+    descending order alone."""
     rng = random.Random(2300)
     verdicts = Counter()
 
     def check(rb, elems, pairs, tgt_degs, j):
         ok = homology._independent(rb, elems, pairs, tgt_degs, j)
         verdicts[ok] += 1
+        verdicts["descending only"] += ok and not _ascending(homology._independent)(rb, elems, pairs, tgt_degs, j)
         if ok:
             cols = homology._image_columns(rb, elems, pairs, tgt_degs, j)
             assert _dense_rank_of_columns(rb, cols, tgt_degs, j) == len(pairs), (elems, pairs, j)
@@ -1100,7 +1122,19 @@ def test_certificate_is_sound():
                 elems = _random_elements(rng, rb, tgt, degs)
                 for j in range(degs[0], degs[-1] + 3):
                     check(rb, elems, [(g, u) for g, d in enumerate(degs) for u in rb.basis(j - d)], tgt, j)
-    assert verdicts[True] > 100 and verdicts[False] > 100
+    independent, asked = homology._independent, []
+
+    def record(*args):
+        asked.append(args)
+        return independent(*args)
+
+    monkeypatch.setattr(homology, "_independent", record)
+    for field in ("qq", "fp:32003"):
+        tor_table(*_ladder_case("cubic_cone", field), 8, 14)
+    monkeypatch.undo()
+    for args in asked:
+        check(*args)
+    assert verdicts[True] > 100 and verdicts[False] > 100 and verdicts["descending only"] > 100
 
 
 def test_images_are_sorted_by_coordinate_position():
@@ -1141,7 +1175,7 @@ def _ladder_case(name, field):
 # with both shortcuts on
 COLUMNS_BUILT = {
     ("two_planes", 6, 8): (4836, 2607),
-    ("cubic_cone", 12, 20): (2362, 1447),
+    ("cubic_cone", 12, 20): (2362, 76),
 }
 
 
@@ -1178,6 +1212,31 @@ def test_certified_passes_build_no_columns(name, i_max, d_max, field, monkeypatc
     _shortcuts_off(monkeypatch)
     tor_table(*_ladder_case(name, field), i_max, d_max)
     assert sum(n for _, n in passes) == before
+
+
+@pytest.mark.parametrize("field", ["qq", "fp:32003"])
+@pytest.mark.parametrize("name, i_max, d_max", [("cubic_cone", 12, 20), ("cubic_cone", 24, 36), ("quadric_cone", 16, 24)])
+def test_hypersurface_passes_build_only_for_generators(name, i_max, d_max, field, monkeypatch):
+    """Over the cubic and quadric cones, a rank pass of steps 1 to i_max - 1
+    builds columns only where they serve a generator: at a cell (i, j) where
+    F_i gains one, whose span tests it, or where F_{i+1} gains one, whose
+    kernel reads step i's columns (a rerun included). Every other pass is
+    certified or copied from two steps back. With the certificate's
+    ascending order alone, passes of steps 2 to 4 build columns that serve
+    no generator."""
+    independent = homology._independent
+    texts = {n.split(".")[0]: text for n, text in bundled_sessions()}
+    for descending in (True, False):
+        if not descending:
+            monkeypatch.undo()
+            monkeypatch.setattr(homology, "_independent", _ascending(independent))
+        work = _ResolveWork(monkeypatch)
+        session = parse_session(texts[name], field_from_name(field))
+        res = truncated_resolution(session.ring, session.ideals["I"], i_max, d_max)
+        builds, _ = work.resolved(res)
+        generator_cells = {(i, j) for i in range(1, i_max + 1) for j in res.degrees[i]}
+        idle = {i for i, j, pairs, _ in builds if pairs and i < i_max and not generator_cells & {(i, j), (i + 1, j)}}
+        assert not idle if descending else idle and idle <= {2, 3, 4}
 
 
 # ---------------------------------------------------------------------------
