@@ -59,23 +59,21 @@ u * g has u * m0 standard and no two share (h0, u * m0), the columns are
 triangular under (component ascending, monomial descending), or under
 (component descending, monomial descending) for the last: a product lies
 on its generator's components only, and normal forms never exceed the
-monomial they reduce. So they are independent, and the pass takes their count as its rank and
-its skip masks as its dead masks, and builds no column and no span (see
-_independent). A resolution pass does so only where that count reaches
-n_{i-1} - r_{i-1}, so that the cell gains no generator; the Tor ranks do
-so wherever the certificate holds. Both orders are needed: only the first
-serves two_planes, only the last the cubic cone's steps 2 to 4.
+monomial they reduce. So they are independent: the pass takes their count
+as its rank and its skip masks as its dead masks, and builds no column and
+no span (see _independent). A resolution pass does so only where that count
+reaches n_{i-1} - r_{i-1}, so that the cell gains no generator; the Tor
+ranks do so wherever the certificate holds. Only the first order serves
+two_planes, only the last the cubic cone's steps 2 to 5.
 
 A cell (i, j) of the resolution that reads what cell (i - 2, j - s) read,
-every degree raised by s, copies that cell's outcome, and a Tor step copies
-step i - 2's ranks on the same terms (see _period). Where the whole cell
-does not repeat, its rank pass may: it copies rank, column count and dead
-masks, which are exactly the non-pivot columns and so canonical, and runs
-only where that rank leaves new generators. Cells and passes are
+every degree raised by s, copies its rank, column and kept counts, dead
+masks (exactly the non-pivot columns, so canonical) and new generators; a
+Tor step copies step i - 2's ranks likewise (see _period). Cells are
 deterministic in what they read, so the copy is exact. It fires over
 hypersurfaces, whose resolutions become 2-periodic with s the relation's
-degree (Eisenbud, Trans. AMS 260, 1980), never where Betti numbers grow.
-Step i_max still runs its rank pass for the top kernel.
+degree (Eisenbud, Trans. AMS 260, 1980), never where Betti numbers grow. A
+kernel that gains vectors reruns the copied or certified pass it reads.
 
 Everything here is exact: entries of the Tor table are true dimensions for
 all internal degrees <= d_max, because a generator of internal degree above
@@ -366,20 +364,17 @@ def _rank_pass(rb: GradedBasis, elems, degs, tgt_degs, j: int, dead: dict, need=
     return len(span.rows), n, kept, cols, span
 
 
-def _period(degrees, images, i: int, j: int, dead=None, weights=(), cell=True):
+def _period(degrees, images, i: int, j: int, dead=None, weights=()):
     """The s > 0 by which all that step i reads below degree j is what
     step i - 2 reads below j - s, every degree raised by s; else None. A Tor
     step reads F_i with its images and F_{i-1}'s degrees. Given dead masks
-    and weights, step i's rank pass at j in _resolve reads F_i below j,
-    F_{i-1}'s degrees through j and step i's masks at j - w; the whole cell
-    (i, j), unless cell is False, also reads F_{i-1}'s images and F_{i-2}'s
-    degrees through j, and step i - 1's masks at j - w."""
+    and weights, the cell (i, j) in _resolve reads F_i below j, F_{i-1} with
+    its images and F_{i-2}'s degrees through j, and the masks of steps i and
+    i - 1 at j - w."""
     if dead is None:
         reads, masked = ((i, j, True), (i - 1, j, False)), ()
-    elif cell:
-        reads, masked = ((i, j, True), (i - 1, j + 1, True), (i - 2, j + 1, False)), (i - 1, i)
     else:
-        reads, masked = ((i, j, True), (i - 1, j + 1, False)), (i,)
+        reads, masked = ((i, j, True), (i - 1, j + 1, True), (i - 2, j + 1, False)), (i - 1, i)
     if reads[-1][0] < 2 or not degrees[i - 1] or not degrees[i - 3]:
         return None
     s = degrees[i - 1][0] - degrees[i - 3][0]  # > 0: lowest degrees rise along a minimal resolution
@@ -417,13 +412,13 @@ def _resolve(ring: GradedRing, gens, i_max: int, d_max: int) -> TruncatedResolut
     # are final for every degree <= j. Step i_max + 1 runs no rank pass: it
     # keeps every kernel vector of step i_max's kept columns, which exist
     # where that pass met a zero residual. images[i] keeps each vector as
-    # (component, monomial, coefficient) terms. A cell copied from (i, j)
-    # takes done[i][j] = (r_i, n_i), dead[i][j] and its new generators.
-    # need is the rank at which (i, j) gains no generator, n_{i-1} - r_{i-1}
-    # (step 1: any rank, unless an ideal generator of degree j is tested).
-    # There a certified pass, or a pass copied from (i - 2, j - s) with
-    # that rank, builds no column and no span, and leaves cols None; a
-    # kernel at (i + 1, j) that needs them reruns the pass.
+    # (component, monomial, coefficient) terms. done[i][j] = (r_i, n_i,
+    # kept_i) counts rank, columns and kept columns; a copied cell takes
+    # those, dead[i][j] and its new generators from (i - 2, j - s). need is
+    # the rank at which (i, j) gains no generator, n_{i-1} - r_{i-1} (step 1:
+    # any rank, unless an ideal generator of degree j is tested). There a
+    # certified pass, like a copied cell, builds no column and leaves cols
+    # None; a kernel at (i + 1, j), the top one included, reruns the pass.
     degrees = [[0]] + [[] for _ in range(i_max + 1)]
     images = [[] for _ in range(i_max + 2)]
     dead = [{} for _ in range(i_max + 1)]
@@ -447,31 +442,22 @@ def _resolve(ring: GradedRing, gens, i_max: int, d_max: int) -> TruncatedResolut
         for i in range(1, i_max + 2):
             top = i > i_max
             if i > 1:
-                prev_rank, prev_n = done[i - 1][j]
+                prev_rank, prev_n, prev_kept = done[i - 1][j]
             need = prev_n - prev_rank if i > 1 else (None if piece else 0)
             # a cell that reads what (i - 2, j - s) read, shifted, copies it
             s = None if top else _period(degrees, images, i, j, dead, weights)
             if s:
                 cols = kept = None
-                if i == i_max:  # the top kernel reads this step's columns
-                    _, _, kept, cols, _ = rank_pass(i, j, need)
                 done[i][j], dead[i][j] = done[i - 2][j - s], dead[i - 2][j - s]
                 lo, hi = bisect_left(degrees[i - 2], j - s), bisect_right(degrees[i - 2], j - s)
                 degrees[i] += [j] * (hi - lo)
                 images[i] += images[i - 2][lo:hi]
                 continue
             if not top:
-                # so does a pass alone (cell=False), where its rank leaves no generator
-                s = _period(degrees, images, i, j, dead, weights, False) if i < i_max else None
-                copied = done[i - 2].get(j - s) if s else None  # None where (i - 2, j - s) never ran
-                if copied and copied[0] == need:
-                    done[i][j], dead[i][j] = copied, dead[i - 2][j - s]
-                    new_cols = new_kept = None
-                else:
-                    r, n, new_kept, new_cols, span = rank_pass(i, j, need)
-                    done[i][j] = r, n
+                r, n, new_kept, new_cols, span = rank_pass(i, j, need)
+                done[i][j] = r, n, len(new_kept)
             if i > 1:
-                new = len(kept) - prev_rank if top else need - done[i][j][0]
+                new = prev_kept - prev_rank if top else need - r
                 if new > 0 and cols is None:  # step i - 1 built no columns at j: build them
                     _, _, kept, cols, _ = rank_pass(i - 1, j)
                 kernel = kernel_of_columns(cols, len(cols), field) if new > 0 else []

@@ -721,27 +721,16 @@ def test_kernels_only_where_generators_appear(name, monkeypatch):
 
 
 def _never(*args):
-    """Stands in for homology._period (no cell, pass or step is copied) or
+    """Stands in for homology._period (no cell or step is copied) or
     homology._independent (no rank pass is certified)."""
     return None
 
 
-def _cells_only(period):
-    """homology._period for whole cells and Tor steps only: no rank pass
-    copies its outcome on its own (period's seventh argument is False)."""
-
-    def cells(degrees, images, i, j, *dead):
-        return None if dead[2:] == (False,) else period(degrees, images, i, j, *dead)
-
-    return cells
-
-
 def _shortcuts_off(monkeypatch):
-    """No certified rank and no pass copy: every rank pass that runs builds
-    and eliminates its columns, as it did before either shortcut existed.
-    Whole cells and Tor steps are still copied from two steps back."""
+    """No certified rank: every rank pass that runs builds and eliminates
+    its columns, as it did before the certificate existed. Whole cells and
+    Tor steps are still copied from two steps back."""
     monkeypatch.setattr(homology, "_independent", _never)
-    monkeypatch.setattr(homology, "_period", _cells_only(homology._period))
 
 
 def _pass_step(res, tgt_degs, elems, j):
@@ -762,12 +751,12 @@ class _ResolveWork:
     """While installed, records the work of each resolution built: every
     product-column build as (step, j, pairs, cols), every kernel as its
     cell (i, j) (it reads step i - 1's columns), the cells _resolve copies,
-    the rank passes it reruns for them and the steps the Tor ranks copy.
-    Call resolved(res) after each resolution to map the builds to steps."""
+    the rank passes it reruns for a kernel and the steps the Tor ranks copy.
+    Call resolved(res) after each resolution to map the builds and reruns
+    to steps."""
 
     def __init__(self, monkeypatch):
-        self.builds, self.kernels, self.copied, self.reruns, self.tor_steps = [], [], set(), 0, 0
-        self.pass_periods = set()
+        self.builds, self.kernels, self.reruns, self.copied, self.tor_steps = [], [], [], set(), 0
         build, kernel = homology._image_columns, homology.kernel_of_columns
         period, rank_pass = homology._period, homology._rank_pass
 
@@ -782,15 +771,14 @@ class _ResolveWork:
 
         def shifted(degrees, images, i, j, *dead):
             s = period(degrees, images, i, j, *dead)
-            if s and dead[2:] == (False,):
-                self.pass_periods.add((i, j))
-            elif s and dead:
+            if s and dead:
                 self.copied.add((i, j))
             self.tor_steps += bool(s and not dead)
             return s
 
         def passed(rb, elems, degs, tgt_degs, j, dead, *need):
-            self.reruns += j in dead  # a copied or certified pass has its masks already
+            if j in dead:  # a copied or certified pass has its masks already
+                self.reruns.append((tuple(tgt_degs), tuple(elems), j))
             return rank_pass(rb, elems, degs, tgt_degs, j, dead, *need)
 
         monkeypatch.setattr(homology, "_image_columns", built)
@@ -799,12 +787,14 @@ class _ResolveWork:
         monkeypatch.setattr(homology, "_rank_pass", passed)
 
     def resolved(self, res):
-        """(builds as (i, j, pairs, cols), kernel cells) of res, then clear."""
+        """(builds as (i, j, pairs, cols), kernel cells, rerun cells) of res,
+        then clear."""
         builds = [(_pass_step(res, tgt, elems, j), j, pairs, cols) for tgt, elems, j, pairs, cols in self.builds]
         made = {id(cols): (i, j) for i, j, _, cols in builds}
         kernels = [(made[id(cols)][0] + 1, made[id(cols)][1]) for cols in self.kernels]
-        self.builds, self.kernels = [], []
-        return builds, kernels
+        reruns = [(_pass_step(res, tgt, elems, j), j) for tgt, elems, j in self.reruns]
+        self.builds, self.kernels, self.reruns = [], [], []
+        return builds, kernels, reruns
 
 
 @pytest.mark.parametrize("name", ["cubic_cone-qq", "cubic_cone-fp:32003", "two_planes-qq", "two_planes-fp:32003"])
@@ -812,8 +802,10 @@ def test_kernels_only_at_generator_cells_not_copied(name, monkeypatch):
     """A cell copied from two steps back computes no kernel; every other
     cell computes one exactly where F_i gains a generator, so the kernel
     cells are the generator cells less the copied ones. Copying fires on the
-    hypersurface and never on two_planes, whose Betti numbers grow. That
-    holds with certified ranks and pass copies on, which never serve a
+    hypersurface and never on two_planes, whose Betti numbers grow. A copied
+    cell builds no columns, so the top kernel reruns step i_max's pass at a
+    copied cell, exactly where the top set gains vectors; no other pass
+    reruns. That holds with certified ranks on, which never serve a
     generator cell, and with them off."""
     for shortcuts in (True, False):
         if not shortcuts:
@@ -822,26 +814,26 @@ def test_kernels_only_at_generator_cells_not_copied(name, monkeypatch):
         work = _ResolveWork(monkeypatch)
         (R, I, i_max, d_max), = [case for n, *case in _resolution_cases() if n == name]
         res = truncated_resolution(R, I, i_max, d_max)
-        _, kernels = work.resolved(res)
+        _, kernels, reruns = work.resolved(res)
         cells = {(i, j) for i in range(2, i_max + 1) for j in res.degrees[i]}
         cells |= {(i_max + 1, j) for j in res.top_degrees}
         assert len(kernels) == len(set(kernels))
         assert set(kernels) == cells - work.copied
         assert bool(work.copied) == name.startswith("cubic_cone")
-        assert work.reruns == 0
-        assert bool(work.pass_periods) == (shortcuts and name.startswith("cubic_cone"))
+        assert sorted(reruns) == sorted({(i_max, j) for j in res.top_degrees} & work.copied)
+        assert bool(reruns) == name.startswith("cubic_cone")
 
 
 @pytest.mark.parametrize("field", ["qq", "fp:32003"])
 @pytest.mark.parametrize("window", [(12, 20), (24, 36)])
 def test_periodic_steps_build_no_columns(field, window, monkeypatch):
     """Over the cubic cone the resolution is 2-periodic from step 4 on, so
-    every cell of steps 6 to i_max - 1 is copied: they build no product
-    column and compute no kernel. With certified ranks and pass copies off,
-    step i_max still builds its columns for the top kernel. With them on,
-    step 5's passes, whose reads repeat step 3's though step 4's do not
-    repeat step 2's, copy their ranks outside its generator cells and
-    build nothing either."""
+    every cell of steps 6 to i_max is copied. Steps 6 to i_max - 1 build no
+    product column and compute no kernel; step i_max builds its columns only
+    where the top kernel reads them, at the degrees of the top set. With
+    certified ranks on, step 5, whose cells do not repeat step 3's, builds
+    only where its columns feed a kernel of step 6; with them off, it builds
+    for its other passes too."""
     i_max, d_max = window
     for shortcuts in (True, False):
         if not shortcuts:
@@ -850,18 +842,19 @@ def test_periodic_steps_build_no_columns(field, window, monkeypatch):
         work = _ResolveWork(monkeypatch)
         session = parse_session(CUBIC_SESSION, field_from_name(field))
         res = truncated_resolution(session.ring, session.ideals["I"], i_max, d_max)
-        builds, kernels = work.resolved(res)
-        columns = Counter()
-        for i, _, pairs, _ in builds:
+        builds, kernels, _ = work.resolved(res)
+        columns, degrees = Counter(), {}
+        for i, j, pairs, _ in builds:
             columns[i] += len(pairs)
+            degrees.setdefault(i, set()).update([j] if pairs else [])
         periodic = range(6, i_max)
         assert not [i for i in columns if i in periodic and columns[i]]
         assert not [cell for cell in kernels if cell[0] in periodic]
+        assert degrees.get(i_max, set()) == set(res.top_degrees)
         if shortcuts:
-            assert columns[4] and not columns[5]
-            assert {j for i, j in work.pass_periods if i == 5} >= set(range(6, d_max + 1)) - set(res.degrees[5])
+            assert columns[4] and degrees[5] == set(res.degrees[6])
         else:
-            assert columns[5] and columns[i_max]
+            assert columns[5] and degrees[5] > set(res.degrees[6])
 
 
 # ---------------------------------------------------------------------------
@@ -939,12 +932,13 @@ def test_period_compares_everything_a_step_or_cell_reads():
 
 @pytest.mark.parametrize("copy", ["every step", "odd steps"])
 def test_copied_cells_match_computed_ones(copy, monkeypatch):
-    """Copying a cell, a rank pass or a Tor step from two steps back is an
-    exact shortcut: with it on, resolutions and Tor tables equal those
-    computed with it off and no rank certified, field for field. With
-    copying on odd steps only, a computed cell whose kernel reads a copied
-    cell's columns reruns that cell's pass. Both hold with certified ranks
-    and pass copies on, and with them off."""
+    """Copying a cell or a Tor step from two steps back is an exact
+    shortcut: with it on, resolutions and Tor tables equal those computed
+    with it off and no rank certified, field for field. A kernel that reads
+    a copied cell's columns reruns that cell's pass: with copying on every
+    step, only the top kernel does, at step i_max; with copying on odd steps
+    only, a computed cell's kernel does too. Both hold with certified ranks
+    on and with them off."""
 
     def outputs(R, I, J, i_max, d_max):
         res, tt = truncated_resolution(R, I, i_max, d_max), tor_table(R, I, J, i_max, d_max)
@@ -966,11 +960,14 @@ def test_copied_cells_match_computed_ones(copy, monkeypatch):
                 return i % 2 and period(degrees, images, i, *more)
 
             monkeypatch.setattr(homology, "_period", odd)
-        for (label, *case), want in zip(_differential_cases(), expected):
-            assert outputs(*case) == want, label
-            work.builds.clear()
-            work.kernels.clear()
-        assert work.copied and work.tor_steps and (work.reruns > 0) == (copy == "odd steps")
+        reruns = Counter()
+        for (label, R, I, J, i_max, d_max), want in zip(_differential_cases(), expected):
+            _, _, cells = work.resolved(truncated_resolution(R, I, i_max, d_max))
+            assert outputs(R, I, J, i_max, d_max) == want, label
+            work.builds.clear()  # the Tor ranks' builds
+            reruns.update("top" if i == i_max else "below" for i, _ in cells)
+        assert work.copied and work.tor_steps and reruns["top"]
+        assert bool(reruns["below"]) == (copy == "odd steps")
 
 
 # ---------------------------------------------------------------------------
@@ -992,14 +989,13 @@ def _shortcut_cases():
 
 
 def test_certified_and_copied_passes_match_built_ones(monkeypatch):
-    """Certified ranks and pass copies are exact shortcuts: with each of
-    them on or off, and with the certificate's ascending order alone and
-    pass copies on, the generator degrees, the images (by digest), the top
-    set, the Tor entries and the completeness bound are those of the route
-    where every rank pass that runs builds and eliminates its columns.
-    Both shortcuts, and the certificate's descending order, fire on these
-    cases."""
-    period, independent = homology._period, homology._independent
+    """Certified ranks are an exact shortcut: with the certificate on, and
+    with its ascending order alone, the generator degrees, the images (by
+    digest), the top set, the Tor entries and the completeness bound are
+    those of the route where every rank pass that runs builds and
+    eliminates its columns. Cells and Tor steps are copied on every route.
+    The certificate, and its descending order alone, fire on these cases."""
+    independent = homology._independent
     fired = Counter()
 
     ascending = _ascending(independent)
@@ -1010,29 +1006,19 @@ def test_certified_and_copied_passes_match_built_ones(monkeypatch):
         fired["descending only"] += ok and not ascending(*args)
         return ok
 
-    def copies(degrees, images, i, j, *dead):
-        s = period(degrees, images, i, j, *dead)
-        fired["pass periods"] += bool(s and dead[2:] == (False,))
-        return s
-
     def outputs(R, I, J, i_max, d_max):
         res, tt = truncated_resolution(R, I, i_max, d_max), tor_table(R, I, J, i_max, d_max)
         return res.degrees, _resolution_digest(res), res.top_degrees, res.top_images, dict(tt.entries), tt.chi_complete_through
 
     routes = {}
-    for certified in (False, True):
-        for copied in (False, True):
-            monkeypatch.setattr(homology, "_independent", certify if certified else _never)
-            monkeypatch.setattr(homology, "_period", copies if copied else _cells_only(period))
-            routes[certified, copied] = [(label, outputs(*case)) for label, *case in _shortcut_cases()]
-    monkeypatch.setattr(homology, "_independent", ascending)
-    monkeypatch.setattr(homology, "_period", copies)
-    routes["ascending", True] = [(label, outputs(*case)) for label, *case in _shortcut_cases()]
-    built = routes.pop((False, False))
+    for route, certificate in (("built", _never), ("certified", certify), ("ascending", ascending)):
+        monkeypatch.setattr(homology, "_independent", certificate)
+        routes[route] = [(label, outputs(*case)) for label, *case in _shortcut_cases()]
+    built = routes.pop("built")
     for route in routes.values():
         for (label, got), (_, want) in zip(route, built):
             assert got == want, label
-    assert fired["certified"] and fired["pass periods"] and fired["descending only"]
+    assert fired["certified"] and fired["descending only"]
 
 
 def _ascending(independent):
@@ -1160,31 +1146,35 @@ def test_images_are_sorted_by_coordinate_position():
 
 
 def _ladder_case(name, field):
-    """(ring, I, J) of the benchmark's tor ladder: two_planes or the cubic
-    cone, over the named field."""
+    """(ring, I, J) of the benchmark's tor ladder, two_planes or the cubic
+    cone, or of the quadric cone, over the named field."""
     k = field_from_name(field)
     if name == "two_planes":
         x, y, z, w = PolyRing(("x", "y", "z", "w"), field=k).gens()
         return GradedRing(x.ring, [x * z, x * w, y * z, y * w]), (x, y, w), (y, z, w)
+    if name == "quadric_cone":
+        x, y, z, w = PolyRing(("x", "y", "z", "w"), field=k).gens()
+        return GradedRing(x.ring, [x * y - z * w]), (x, z), (y, w)
     x, y, z = PolyRing(("x", "y", "z"), field=k).gens()
     return GradedRing(x.ring, [x**3 + y**3 + z**3]), (x + y, z), (y, x + z)
 
 
 # product columns built for a Tor table, resolution included: with every
-# rank pass building its columns (certified ranks and pass copies off), and
-# with both shortcuts on
+# rank pass building its columns (certified ranks off), and with them on
 COLUMNS_BUILT = {
     ("two_planes", 6, 8): (4836, 2607),
-    ("cubic_cone", 12, 20): (2362, 76),
+    ("cubic_cone", 12, 20): (2349, 88),
+    ("cubic_cone", 24, 36): (8457, 77),
+    ("quadric_cone", 16, 24): (18321, 54),
 }
 
 
 @pytest.mark.parametrize("field", ["qq", "fp:32003"])
-@pytest.mark.parametrize("name, i_max, d_max", [("two_planes", 6, 8), ("cubic_cone", 12, 20)])
+@pytest.mark.parametrize("name, i_max, d_max", list(COLUMNS_BUILT))
 def test_certified_passes_build_no_columns(name, i_max, d_max, field, monkeypatch):
     """A certified rank pass builds no product column, and with certified
-    ranks and pass copies on, a Tor table with its resolution builds the
-    pinned number of columns, fewer than with both off."""
+    ranks on, a Tor table with its resolution builds the pinned number of
+    columns, fewer than with them off."""
     build, independent, rank_pass = homology._image_columns, homology._independent, homology._rank_pass
     passes = []  # [certified, columns built] per rank pass
 
@@ -1217,13 +1207,14 @@ def test_certified_passes_build_no_columns(name, i_max, d_max, field, monkeypatc
 @pytest.mark.parametrize("field", ["qq", "fp:32003"])
 @pytest.mark.parametrize("name, i_max, d_max", [("cubic_cone", 12, 20), ("cubic_cone", 24, 36), ("quadric_cone", 16, 24)])
 def test_hypersurface_passes_build_only_for_generators(name, i_max, d_max, field, monkeypatch):
-    """Over the cubic and quadric cones, a rank pass of steps 1 to i_max - 1
-    builds columns only where they serve a generator: at a cell (i, j) where
-    F_i gains one, whose span tests it, or where F_{i+1} gains one, whose
-    kernel reads step i's columns (a rerun included). Every other pass is
-    certified or copied from two steps back. With the certificate's
-    ascending order alone, passes of steps 2 to 4 build columns that serve
-    no generator."""
+    """Over the cubic and quadric cones, a rank pass builds columns only
+    where they serve a generator: at a cell (i, j) where F_i gains one,
+    whose span tests it, or where F_{i+1} or, for i = i_max, the top set
+    gains one, whose kernel reads step i's columns (a rerun included).
+    Every other pass is certified or copied from two steps back. With the
+    certificate's ascending order alone, passes of steps 2 to 5 on the
+    cubic cone, and 2 to 4 on the quadric cone, build columns that serve no
+    generator."""
     independent = homology._independent
     texts = {n.split(".")[0]: text for n, text in bundled_sessions()}
     for descending in (True, False):
@@ -1233,10 +1224,31 @@ def test_hypersurface_passes_build_only_for_generators(name, i_max, d_max, field
         work = _ResolveWork(monkeypatch)
         session = parse_session(texts[name], field_from_name(field))
         res = truncated_resolution(session.ring, session.ideals["I"], i_max, d_max)
-        builds, _ = work.resolved(res)
+        builds, _, _ = work.resolved(res)
         generator_cells = {(i, j) for i in range(1, i_max + 1) for j in res.degrees[i]}
-        idle = {i for i, j, pairs, _ in builds if pairs and i < i_max and not generator_cells & {(i, j), (i + 1, j)}}
-        assert not idle if descending else idle and idle <= {2, 3, 4}
+        generator_cells |= {(i_max + 1, j) for j in res.top_degrees}
+        idle = {i for i, j, pairs, _ in builds if pairs and not generator_cells & {(i, j), (i + 1, j)}}
+        ascending_only = {2, 3, 4, 5} if name == "cubic_cone" else {2, 3, 4}
+        assert idle == (set() if descending else ascending_only), idle
+
+
+@pytest.mark.parametrize("field", ["qq", "fp:32003"])
+@pytest.mark.parametrize(
+    "name, i_max, d_max", [("cubic_cone", 12, 20), ("cubic_cone", 24, 36), ("quadric_cone", 16, 24), ("two_planes", 6, 8)]
+)
+def test_top_step_builds_only_at_top_set_degrees(name, i_max, d_max, field, monkeypatch):
+    """Step i_max builds product columns exactly at the degrees of the top
+    set, whose kernel reads them. On the hypersurfaces its cells are copied
+    from two steps back, and a copied cell's pass reruns only where the top
+    set gains vectors; on two_planes its passes elsewhere are certified or
+    empty. With (24, 36) the top set is empty below d_max, so step i_max
+    builds nothing."""
+    R, I, _ = _ladder_case(name, field)
+    work = _ResolveWork(monkeypatch)
+    res = truncated_resolution(R, I, i_max, d_max)
+    builds, _, _ = work.resolved(res)
+    assert {j for i, j, pairs, _ in builds if i == i_max and pairs} == set(res.top_degrees)
+    assert bool(res.top_degrees) == ((i_max, d_max) != (24, 36))
 
 
 # ---------------------------------------------------------------------------
@@ -1296,8 +1308,8 @@ def test_skipped_columns_reduce_to_zero_in_a_full_pass(name, monkeypatch):
     modulo the relations, with its own elimination. Each pass is mapped to
     its step by what it reads; with no cell copied from two steps back and
     no rank certified, every degree visits steps 1..i_max in turn. With
-    certified ranks and pass copies on, the passes that still build their
-    columns are checked the same way."""
+    certified ranks on, the passes that still build their columns are
+    checked the same way."""
     calls = []
     build = homology._image_columns
 
