@@ -43,7 +43,8 @@ are closed under division too, and the elements multiplied need not be
 minimal generators.
 
 The inner loop runs on coordinate data, not polynomials. A GradedBasis
-keeps one normal-form table, monomial -> (monomial, coefficient) pairs.
+keeps a table of positions and skip masks per degree and one normal-form
+table, monomial -> (monomial, coefficient) pairs.
 While a resolution is built, each generator's image is a tuple of
 (component, monomial, coefficient) terms read off its residual vector, and
 the products u * image are summed from normal-form terms straight into
@@ -100,59 +101,71 @@ from .rings import GradedRing, Poly, homogeneous_gens, ideal_key, wdeg
 class GradedBasis:
     """Deterministic standard-monomial bases of the graded pieces of a quotient.
 
-    Wraps a Groebner basis with its own dicts of piece bases, monomial
-    positions and one normal-form table, so repeated multiplications during
-    resolution building reduce each distinct monomial only once. The table
-    maps a monomial to its normal form as a tuple of (monomial, coefficient)
-    pairs, with an integral QQ coefficient stored as a plain int. The ring
-    memoises one instance per ideal (see _graded_basis).
+    Wraps a Groebner basis with two memos: a table per degree (see _piece),
+    which basis, index and dim read, and a normal-form table mapping a
+    monomial to (monomial, coefficient) pairs, an integral QQ coefficient
+    stored as a plain int, so repeated multiplications during resolution
+    building reduce each distinct monomial only once. The ring memoises one
+    instance per ideal (see _graded_basis).
     """
 
-    __slots__ = ("gb", "ring", "_leads", "_basis", "_index", "_nf", "_up")
+    __slots__ = ("gb", "ring", "_leads", "_pieces", "_nf")
 
     def __init__(self, gb: GroebnerBasis):
         self.gb = gb
         self.ring = gb.ring
         self._leads = frozenset(gb.leading_monomials())
-        self._basis: dict = {}
-        self._index: dict = {}
+        self._pieces: dict = {}
         self._nf: dict = {}
-        self._up: dict = {}
+
+    def _piece(self, j: int) -> tuple:
+        """(basis, index, up) of degree j: the standard monomials, those no
+        leading monomial divides, in ascending order; their positions; and
+        per weight w, up[w][p] masks the products of the p-th standard
+        monomial of degree j - w with the variables of weight w. A monomial
+        is standard when it is no leading monomial and each of its
+        one-variable divisors is standard (a lead dividing it properly divides
+        one of those). One walk makes each candidate once, from its divisor by
+        its last nonzero variable k, and reads its divisors' positions for
+        that test and the masks. The order compares -m[n-1], ..., -m[0]
+        within a degree, so the monomials in x_0 .. x_k end degree j - w_k,
+        and the candidates of k, descending, lie above those of k + 1."""
+        t = self._pieces.get(j)
+        if t is None:
+            if j < 0:
+                return (), {}, {}
+            weights = self.ring.weights
+            below = [self._piece(j - w)[1] for w in weights]
+            one = (0,) * len(weights)
+            found = [] if j or one in self._leads else [(one, ())]
+            for k, idx in enumerate(below):
+                for d in reversed(idx):
+                    if any(d[k + 1 :]):
+                        break
+                    m = d[:k] + (d[k] + 1,) + d[k + 1 :]
+                    divisors = [(i, m[:i] + (a - 1,) + m[i + 1 :]) for i, a in enumerate(m) if a]
+                    ups = [(weights[i], below[i].get(v)) for i, v in divisors]
+                    if m not in self._leads and all(p is not None for _, p in ups):
+                        found.append((m, ups))
+            found.reverse()
+            up = {w: [0] * len(idx) for w, idx in zip(weights, below)}
+            for q, (_, ups) in enumerate(found):
+                for w, p in ups:
+                    up[w][p] |= 1 << q
+            basis = tuple(m for m, _ in found)
+            t = self._pieces[j] = basis, {m: q for q, m in enumerate(basis)}, up
+        return t
 
     def basis(self, j: int):
-        """Standard monomials of degree j, those no leading monomial
-        divides, in ascending monomial order. A monomial is standard when it
-        is no leading monomial and each of its one-variable divisors is
-        standard (a leading monomial dividing it properly would divide one
-        of those), so degree j is built from the lower degrees' bases."""
-        if j < 0:
-            return ()
-        b = self._basis.get(j)
-        if b is None:
-            below = [self.index(j - w) for w in self.ring.weights]
-            if j:
-                found = {m[:k] + (m[k] + 1,) + m[k + 1 :] for k, ms in enumerate(below) for m in ms}
-            else:
-                found = {(0,) * len(below)}
-            b = [
-                m
-                for m in found
-                if m not in self._leads
-                and all(not a or m[:k] + (a - 1,) + m[k + 1 :] in below[k] for k, a in enumerate(m))
-            ]
-            b = self._basis[j] = tuple(sorted(b, key=self.ring.key))
-            self._index[j] = {m: i for i, m in enumerate(b)}
-        return b
+        """Standard monomials of degree j in ascending monomial order."""
+        return self._piece(j)[0]
 
     def dim(self, j: int) -> int:
-        return len(self.basis(j))
+        return len(self._piece(j)[0])
 
     def index(self, j: int) -> dict:
         """Position of each basis monomial of degree j ({} below degree 0)."""
-        if j < 0:
-            return {}
-        self.basis(j)
-        return self._index[j]
+        return self._piece(j)[1]
 
     def nf_monomial(self, m) -> tuple:
         """Normal form of the monomial m, as (monomial, coefficient) pairs."""
@@ -165,31 +178,6 @@ class GradedBasis:
                 t = tuple((m2, _int_if_integral(c)) for m2, c in p.terms.items())
             self._nf[m] = t
         return t
-
-    def _multiples(self, marked, e: int) -> int:
-        """Bit mask over basis(e) of the products x * m, for each (w, mask) in
-        marked, each variable x of weight w and each monomial m of degree
-        e - w whose bit is set in mask. Standard monomials are closed under
-        division, so every standard such product is found from basis(e): per
-        degree e, up[w][p] masks the products of the p-th monomial of degree
-        e - w with the variables of weight w."""
-        up = self._up.get(e)
-        if up is None:
-            weights = self.ring.weights
-            up = self._up[e] = {w: [0] * self.dim(e - w) for w in weights}
-            for q, m in enumerate(self.basis(e)):
-                for k, a in enumerate(m):
-                    if a:
-                        w = weights[k]
-                        up[w][self.index(e - w)[m[:k] + (a - 1,) + m[k + 1 :]]] |= 1 << q
-        out = 0
-        for w, mask in marked:
-            steps = up[w]
-            while mask:
-                low = mask & -mask
-                out |= steps[low.bit_length() - 1]
-                mask ^= low
-        return out
 
     def multiply_nf(self, u, p: Poly) -> Poly:
         """Normal form of (monomial u) * p; p need not be reduced."""
@@ -330,7 +318,10 @@ def _rank_pass(rb: GradedBasis, elems, degs, tgt_degs, j: int, dead: dict, need=
     mask of degree j - w marks as spanned by the products before them.
     dead maps a degree to one bit mask per g over rb.basis(j - degs[g]) of
     the u whose product was skipped or reduced to zero; the pass reads the
-    masks of degrees j - w and fills dead[j]. Where at least need products
+    masks of degrees j - w and fills dead[j]. One lookup of rb's table of
+    degree j - degs[g] gives g's basis and the masks up[w][p], and each dead
+    bit p of degree j - w skips the products in up[w][p], the multiples of
+    its u by the variables of weight w. Where at least need products
     are kept and _independent certifies them, their count is the rank and
     no column or span is built (need None: always build). Returns the rank,
     the number of all products, the kept products' positions among them,
@@ -338,10 +329,14 @@ def _rank_pass(rb: GradedBasis, elems, degs, tgt_degs, j: int, dead: dict, need=
     below = [(w, dead.get(j - w, ())) for w in sorted(set(rb.ring.weights))]
     masks, offs, pairs, kept, n = [], [], [], [], 0
     for g, d in enumerate(degs):
-        e = j - d
-        basis = rb.basis(e)
-        marked = [(w, m[g]) for w, m in below if g < len(m) and m[g]]
-        skip = rb._multiples(marked, e) if marked else 0
+        basis, _, up = rb._piece(j - d)
+        skip = 0
+        for w, marked in below:
+            mask = marked[g] if g < len(marked) else 0
+            while mask:
+                low = mask & -mask
+                skip |= up[w][low.bit_length() - 1]
+                mask ^= low
         if skip:
             for q, u in enumerate(basis):
                 if not skip >> q & 1:

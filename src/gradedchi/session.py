@@ -73,9 +73,9 @@ def tokenize(text: str):
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append(Token("INT", text[i:j], line, col))
             col += j - i

@@ -1,10 +1,15 @@
 """The session language: tokenizer, parser, polynomial expressions."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import gradedchi
 from gradedchi.errors import SessionError
 from gradedchi.rings import GradedRing, Poly, PolyRing, field_from_name
 from gradedchi.session import (
@@ -89,6 +94,33 @@ def test_polynomial_errors():
         parse_polynomial("1/0*x", r)
     with pytest.raises(SessionError, match="expected a polynomial"):
         parse_polynomial("*x", r)
+
+
+NON_DECIMAL_DIGITS = [
+    # (session, line, col of the superscript two): a weight, an exponent, and
+    # a coefficient followed by one
+    ("ring R { vars x:\u00b2; }\n", 1, 17),
+    ("ring R { vars x; }\nideal I = (x^\u00b2);\n", 2, 14),
+    ("ring R { vars x; }\nideal I = (2\u00b2 * x);\n", 2, 13),
+]
+
+
+@pytest.mark.parametrize("text, line, col", NON_DECIMAL_DIGITS)
+def test_non_decimal_digits_are_session_errors(text, line, col):
+    """A digit that int() rejects, such as a superscript two, is no number:
+    the tokenizer reports it as an unexpected character with its position."""
+    with pytest.raises(SessionError) as ei:
+        parse_session(text)
+    assert str(ei.value) == f"line {line}, col {col}: unexpected character '\u00b2'"
+
+
+@pytest.mark.parametrize("text, line, col", NON_DECIMAL_DIGITS)
+def test_non_decimal_digits_exit_one_without_traceback(text, line, col):
+    env = {**os.environ, "PYTHONPATH": str(Path(gradedchi.__file__).parents[1])}
+    argv = [sys.executable, "-m", "gradedchi", "-"]
+    done = subprocess.run(argv, env=env, input=text, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert done.stderr == f"gradedchi: error: line {line}, col {col}: unexpected character '\u00b2'\n"
 
 
 def test_error_positions_are_reported():
