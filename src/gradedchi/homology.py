@@ -5,11 +5,11 @@ at a time across all homological steps: each graded piece of the kernel of
 the previous map is computed as the nullspace of an exact matrix over k on
 standard-monomial bases, and minimal generators are the kernel vectors that
 survive reduction against products of the generators already found
-(degreewise Nakayama). In each degree, every step's products are
-eliminated once for a rank, and a rank count tells which steps gain
-generators: only there is a kernel computed (La Scala and Stillman, JSC
-1998). Tensoring the truncated resolution with R/J and taking ranks gives
-the graded Tor table, which cross-checks the closed-form chi.
+(degreewise Nakayama). In each degree, the products a step builds are
+eliminated once, tagged, for their rank and kernel together, and a rank
+count tells which steps gain generators: only there is a kernel read (La
+Scala and Stillman, JSC 1998). Tensoring the truncated resolution with R/J
+and taking ranks gives the graded Tor table, which cross-checks chi.
 
 The Tor table through step i_max needs the rank of d_{i_max+1} tensored
 with R/J, but not a minimal F_{i_max+1}. By exactness im d_{i_max+1} =
@@ -56,7 +56,8 @@ already prove, as in the Schreyer frames of La Scala and Stillman. An
 image's lead (h0, m0) is taken on its first or on its last component h0,
 with m0 the largest monomial there, its last term on h0, since terms are
 sorted by coordinate position. If, for one of the two, every kept product
-u * g has u * m0 standard and no two share (h0, u * m0), the columns are
+u * g has u * m0 standard and no two share (h0, u * m0), tested on bit
+masks over the standard monomials (see GradedBasis._shift), the columns are
 triangular under (component ascending, monomial descending), or under
 (component descending, monomial descending) for the last: a product lies
 on its generator's components only, and normal forms never exceed the
@@ -119,10 +120,11 @@ class GradedBasis:
         self._nf: dict = {}
 
     def _piece(self, j: int) -> tuple:
-        """(basis, index, up) of degree j: the standard monomials, those no
-        leading monomial divides, in ascending order; their positions; and
-        per weight w, up[w][p] masks the products of the p-th standard
-        monomial of degree j - w with the variables of weight w. A monomial
+        """(basis, index, up, shifts) of degree j: the standard monomials,
+        those no leading monomial divides, in ascending order; their
+        positions; per weight w, up[w][p] masks the products of the p-th
+        standard monomial of degree j - w with the variables of weight w; and
+        the shift tables into degree j, filled by _shift. A monomial
         is standard when it is no leading monomial and each of its
         one-variable divisors is standard (a lead dividing it properly divides
         one of those). One walk makes each candidate once, from its divisor by
@@ -133,7 +135,7 @@ class GradedBasis:
         t = self._pieces.get(j)
         if t is None:
             if j < 0:
-                return (), {}, {}
+                return (), {}, {}, {}
             weights = self.ring.weights
             below = [self._piece(j - w)[1] for w in weights]
             one = (0,) * len(weights)
@@ -153,7 +155,20 @@ class GradedBasis:
                 for w, p in ups:
                     up[w][p] |= 1 << q
             basis = tuple(m for m, _ in found)
-            t = self._pieces[j] = basis, {m: q for q, m in enumerate(basis)}, up
+            t = self._pieces[j] = basis, {m: q for q, m in enumerate(basis)}, up, {}
+        return t
+
+    def _shift(self, j: int, m0) -> tuple:
+        """(pos, ok, image) for u * m0, u over basis(j - deg m0): pos[q] is
+        the position of the q-th u times m0 in basis(j), None where it is not
+        standard; ok masks the q with a standard product, and image their
+        positions. Filled once per (j, m0) in the table of degree j."""
+        _, index, _, shifts = self._piece(j)
+        t = shifts.get(m0)
+        if t is None:
+            pos = [index.get(tuple(map(add, u, m0))) for u in self.basis(j - wdeg(m0, self.ring))]
+            ok = sum(1 << q for q, p in enumerate(pos) if p is not None)
+            t = shifts[m0] = pos, ok, sum(1 << p for p in pos if p is not None)
         return t
 
     def basis(self, j: int):
@@ -276,36 +291,43 @@ def truncated_resolution(ring: GradedRing, gens, i_max: int = 8, d_max: int = 16
     )
 
 
-def _independent(rb: GradedBasis, elems, pairs, tgt_degs, j: int) -> bool:
-    """True when the degree-j columns u * elems[g], (g, u) in pairs, are
-    certified independent without building them. Each generator's lead is
-    (h0, m0), tried two ways: h0 the first component of its image, or the
-    last, and m0 the largest monomial on h0, which is its last term there,
-    since terms are sorted by coordinate position. A product lies on its
-    generator's components only, and normal forms never exceed the
-    monomial they reduce; so if every u * m0 is standard in rb and no two
-    products share (h0, u * m0), that entry is nonzero in its column and the
-    column's other entries lie on components past h0 (before h0 for the
-    last), or on h0 at smaller monomials. The columns are then triangular
-    under (component ascending, monomial descending), or under (component
-    descending, monomial descending) for the last."""
+def _independent(rb: GradedBasis, elems, kept, tgt_degs, j: int) -> bool:
+    """True when the degree-j columns u * elems[g], u in the mask kept[g]
+    over rb.basis(j - deg elems[g]), are certified independent without
+    building them. Each generator's lead is (h0, m0), tried two ways: h0
+    the first component of its image, or the last, and m0 the largest
+    monomial on h0, which is its last term there, since terms are sorted by
+    coordinate position. A product lies on its generator's components only,
+    and normal forms never exceed the monomial they reduce; so if every
+    kept u * m0 is standard in rb (kept[g] within rb._shift's ok mask) and
+    the kept products' images on each h0 are disjoint, that entry is nonzero
+    in its column and the column's other entries lie on components past h0
+    (before h0 for the last), or on h0 at smaller monomials. The columns are
+    then triangular under (component ascending, monomial descending), or
+    under (component descending, monomial descending) for the last."""
     for first in (True, False):
-        seen: set = set()
-        prev = None
-        for g, u in pairs:
-            if g != prev:
-                prev, elem = g, elems[g]
-                k = len(elem)
-                if first:
-                    k = 1
-                    while k < len(elem) and elem[k][0] == elem[0][0]:
-                        k += 1
-                h0, m0, _ = elem[k - 1]
-                idx = rb.index(j - tgt_degs[h0])
-            m = tuple(map(add, u, m0))
-            if m not in idx or (h0, m) in seen:
+        seen: dict = {}
+        for elem, mask in zip(elems, kept):
+            if not mask:
+                continue
+            k = len(elem)
+            if first:
+                k = 1
+                while k < len(elem) and elem[k][0] == elem[0][0]:
+                    k += 1
+            h0, m0, _ = elem[k - 1]
+            pos, ok, image = rb._shift(j - tgt_degs[h0], m0)
+            if mask & ~ok:
                 break
-            seen.add((h0, m))
+            gone = ok & ~mask  # the image of the kept u is the whole image less these
+            while gone:
+                low = gone & -gone
+                image ^= 1 << pos[low.bit_length() - 1]
+                gone ^= low
+            hit = seen.get(h0, 0)
+            if hit & image:
+                break
+            seen[h0] = hit | image
         else:
             return True
     return False
@@ -321,15 +343,18 @@ def _rank_pass(rb: GradedBasis, elems, degs, tgt_degs, j: int, dead: dict, need=
     masks of degrees j - w and fills dead[j]. One lookup of rb's table of
     degree j - degs[g] gives g's basis and the masks up[w][p], and each dead
     bit p of degree j - w skips the products in up[w][p], the multiples of
-    its u by the variables of weight w. Where at least need products
-    are kept and _independent certifies them, their count is the rank and
-    no column or span is built (need None: always build). Returns the rank,
-    the number of all products, the kept products' positions among them,
-    and the built columns with their span (None when certified)."""
+    its u by the variables of weight w; g keeps the other u, a mask. Where
+    at least need products are kept and _independent certifies the masks,
+    their count is the rank and nothing is built (need None: always build).
+    Else one elimination (kernel_of_columns) of the kept products gives
+    their span, whose row count is the rank, and their kernel, whose
+    vectors' largest indices are the dead columns. Returns the rank, the
+    numbers of all and of kept products, and for a built pass (kept, kernel,
+    span), kept the kept products' positions among all, else None."""
     below = [(w, dead.get(j - w, ())) for w in sorted(set(rb.ring.weights))]
-    masks, offs, pairs, kept, n = [], [], [], [], 0
+    bases, masks, keep = [], [], []
     for g, d in enumerate(degs):
-        basis, _, up = rb._piece(j - d)
+        basis, _, up, _ = rb._piece(j - d)
         skip = 0
         for w, marked in below:
             mask = marked[g] if g < len(marked) else 0
@@ -337,26 +362,29 @@ def _rank_pass(rb: GradedBasis, elems, degs, tgt_degs, j: int, dead: dict, need=
                 low = mask & -mask
                 skip |= up[w][low.bit_length() - 1]
                 mask ^= low
-        if skip:
-            for q, u in enumerate(basis):
-                if not skip >> q & 1:
-                    pairs.append((g, u))
-                    kept.append(n + q)
-        else:
-            pairs += [(g, u) for u in basis]
-            kept += range(n, n + len(basis))
+        bases.append(basis)
         masks.append(skip)
+        keep.append((1 << len(basis)) - 1 ^ skip)  # skip lies within g's basis
+    dead[j] = masks
+    nkept = sum(map(int.bit_count, keep))
+    if need is not None and nkept >= need and _independent(rb, elems, keep, tgt_degs, j):
+        return nkept, sum(map(len, bases)), nkept, None
+    pairs, kept, offs, n = [], [], [], 0
+    for g, (basis, mask) in enumerate(zip(bases, keep)):
+        for q, u in enumerate(basis):
+            if mask >> q & 1:
+                pairs.append((g, u))
+                kept.append(n + q)
         offs.append(n)
         n += len(basis)
-    dead[j] = masks
-    if need is not None and len(pairs) >= need and _independent(rb, elems, pairs, tgt_degs, j):
-        return len(pairs), n, kept, None, None
     cols = _image_columns(rb, elems, pairs, tgt_degs, j)
     span = EchelonSpan(rb.ring.field)
-    for (g, _), k, col in zip(pairs, kept, cols):
-        if not span.add(col):
-            masks[g] |= 1 << (k - offs[g])
-    return len(span.rows), n, kept, cols, span
+    kernel = kernel_of_columns(cols, len(cols), span)
+    for vec in kernel:
+        k = max(vec)
+        g = pairs[k][0]
+        masks[g] |= 1 << (kept[k] - offs[g])
+    return len(span.rows), n, nkept, (kept, kernel, span)
 
 
 def _period(degrees, images, i: int, j: int, dead=None, weights=()):
@@ -386,7 +414,6 @@ def _period(degrees, images, i: int, j: int, dead=None, weights=()):
 
 def _resolve(ring: GradedRing, gens, i_max: int, d_max: int) -> TruncatedResolution:
     rb = _graded_basis(ring)
-    field = ring.field
     weights = sorted(set(ring.weights))
 
     one = (0,) * ring.nvars
@@ -399,7 +426,7 @@ def _resolve(ring: GradedRing, gens, i_max: int, d_max: int) -> TruncatedResolut
     # their rank r_i. For i >= 2 they lie in ker d_{i-1}, of dimension
     # n_{i-1} - r_{i-1} (n_{i-1}: step i-1's full column count, skipped
     # columns included), so the difference counts the new generators at
-    # (i, j). Only then is that kernel computed, over the kept columns, and
+    # (i, j). Only then is the kernel of step i - 1's elimination read, and
     # its vectors, mapped back to full positions through kept, are tested in
     # canonical order. A generator accepted at degree j is independent of
     # the products, so its own column adds no kernel vector. Generators
@@ -412,8 +439,8 @@ def _resolve(ring: GradedRing, gens, i_max: int, d_max: int) -> TruncatedResolut
     # those, dead[i][j] and its new generators from (i - 2, j - s). need is
     # the rank at which (i, j) gains no generator, n_{i-1} - r_{i-1} (step 1:
     # any rank, unless an ideal generator of degree j is tested). There a
-    # certified pass, like a copied cell, builds no column and leaves cols
-    # None; a kernel at (i + 1, j), the top one included, reruns the pass.
+    # certified pass, like a copied cell, builds no column and leaves built
+    # None; a kernel read at (i + 1, j), the top one included, reruns it.
     degrees = [[0]] + [[] for _ in range(i_max + 1)]
     images = [[] for _ in range(i_max + 2)]
     dead = [{} for _ in range(i_max + 1)]
@@ -431,7 +458,7 @@ def _resolve(ring: GradedRing, gens, i_max: int, d_max: int) -> TruncatedResolut
             for p in candidates
             if p.homogeneous_degree() == j
         ]
-        cols = kept = None  # step i - 1's built columns and kept positions at j; None where not built
+        built = None  # step i - 1's (kept, kernel, span) at j; None where it built nothing
         # never leave the i-loop early: over an Artinian ring F_i can have
         # degree-j products, which step i + 1 needs, when F_{i-1} has none
         for i in range(1, i_max + 2):
@@ -442,31 +469,31 @@ def _resolve(ring: GradedRing, gens, i_max: int, d_max: int) -> TruncatedResolut
             # a cell that reads what (i - 2, j - s) read, shifted, copies it
             s = None if top else _period(degrees, images, i, j, dead, weights)
             if s:
-                cols = kept = None
+                built = None
                 done[i][j], dead[i][j] = done[i - 2][j - s], dead[i - 2][j - s]
                 lo, hi = bisect_left(degrees[i - 2], j - s), bisect_right(degrees[i - 2], j - s)
                 degrees[i] += [j] * (hi - lo)
                 images[i] += images[i - 2][lo:hi]
                 continue
             if not top:
-                r, n, new_kept, new_cols, span = rank_pass(i, j, need)
-                done[i][j] = r, n, len(new_kept)
+                r, n, new_kept, new_built = rank_pass(i, j, need)
+                done[i][j] = r, n, new_kept
             if i > 1:
                 new = prev_kept - prev_rank if top else need - r
-                if new > 0 and cols is None:  # step i - 1 built no columns at j: build them
-                    _, _, kept, cols, _ = rank_pass(i - 1, j)
-                kernel = kernel_of_columns(cols, len(cols), field) if new > 0 else []
-                piece = [{kept[k]: c for k, c in vec.items()} for vec in kernel]
+                piece = []
+                if new > 0:  # read step i - 1's kernel, rerunning its pass if it built nothing at j
+                    kept, kernel, _ = built or rank_pass(i - 1, j)[3]
+                    piece = [{kept[k]: c for k, c in vec.items()} for vec in kernel]
             if piece:
                 # position -> (component, monomial) in the degree-j piece of F_{i-1}
                 slots = [(h, m) for h, d in enumerate(degrees[i - 1]) for m in rb.basis(j - d)]
                 for vec in piece:
-                    r = vec if top else span.add(vec)
+                    r = vec if top else new_built[2].add(vec)  # the span of (i, j)
                     if r:
                         degrees[i].append(j)
                         images[i].append(tuple((*slots[k], c) for k, c in sorted(r.items())))
             if not top:
-                cols, kept = new_cols, new_kept
+                built = new_built
 
     degrees, images = tuple(map(tuple, degrees)), tuple(map(tuple, images))
     return TruncatedResolution(ring, gens, i_max, d_max, degrees[:-1], images[:-1], degrees[-1], images[-1])

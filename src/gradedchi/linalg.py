@@ -14,9 +14,10 @@ reduced left to right, each tagged with an identity entry, and a column that
 reduces to zero yields the unique relation expressing it through the
 independent columns before it. That relation, scaled as above, does not
 depend on how the reduction got there, so every kernel basis computed here
-is canonical: identical inputs give identical output, entry for entry. A
-kernel call runs in its own span and returns only the kernel; a rank is the
-row count of a span filled with add.
+is canonical: identical inputs give identical output, entry for entry. The
+same reduction fills the span it runs in with the rows an add loop over the
+columns would store, so one elimination gives a set of columns' rank
+(the span's row count), its span and its kernel.
 """
 
 from __future__ import annotations
@@ -115,20 +116,27 @@ class EchelonSpan:
         return r
 
 
-def kernel_of_columns(cols, ncols: int, field):
-    """Canonical basis of the nullspace {x : sum_j x_j * cols[j] = 0}.
+def kernel_of_columns(cols, ncols: int, span: EchelonSpan):
+    """Canonical basis of the nullspace {x : sum_j x_j * cols[j] = 0},
+    eliminating the columns in span, which must be empty.
 
-    Each column j is tagged with a unit entry at tag + j, past every row
-    index, and reduced against the earlier columns: if its row part vanishes,
-    the tagged residual is the unique relation e_j - sum x_p e_p over the
-    earlier independent columns p. One kernel vector per dependent column, in
-    ascending column order, indexed by column position.
+    Each nonempty column j is tagged with a unit entry at tag + j, past
+    every row index, and reduced against the earlier columns: if its row
+    part vanishes, the tagged residual is the unique relation
+    e_j - sum x_p e_p over the earlier independent columns p; an empty
+    column is e_j. One kernel vector per dependent column, in ascending
+    column order, indexed by column position. A stored row's lead is a row
+    entry and its row part stays proportional to what an add loop over the
+    columns stores, so with the tags dropped and rescaled as add scales,
+    span ends with that loop's rows, and their count is the rank.
     """
     tag = 1 + max((r for col in cols for r in col), default=-1)
-    span = EchelonSpan(field)
     out = []
     for j in range(ncols):
-        vec = dict(cols[j]) if j < len(cols) else {}
+        if j >= len(cols) or not cols[j]:
+            out.append({j: 1})
+            continue
+        vec = dict(cols[j])
         vec[tag + j] = 1
         r = span.reduce(vec)
         lead = min(r)
@@ -136,4 +144,8 @@ def kernel_of_columns(cols, ncols: int, field):
             out.append({c - tag: v for c, v in r.items()})
         else:
             span.rows[lead] = r
+    p = span.field.p
+    for lead, r in span.rows.items():
+        row = {c: v for c, v in r.items() if c < tag}
+        span.rows[lead] = row if p else _primitive_int_row(row)
     return out

@@ -10,7 +10,11 @@ S-polynomial is built from generic polynomial products. Each is kept as the
 reference for the faster one. The Z[t] routines are the Fraction-based
 gcd, exact division and (1 - t)-valuation that arith's fraction-free
 division replaced. full_column_pass eliminates every product column of a
-resolution step, the reference for the columns the resolution skips.
+resolution step, the reference for the columns the resolution skips;
+tagged_kernel is the kernel by tagged elimination as the library computed it
+in a span of its own, the reference for the kernel and span that one
+elimination now fills; per_product_independent is the rank certificate that
+tested the products (g, u) one by one, the reference for the mask version.
 plain_buchberger is the pair loop with the coprime and chain criteria only,
 the reference for the pairs the Hilbert criterion drops. eager_buchberger is
 the same loop as it was before it stopped at the lead: every S-polynomial
@@ -523,6 +527,67 @@ def full_column_pass(cols, p=0, before=()):
         insert(r)
     zero = [not insert(c) for c in cols]
     return zero.count(False), zero
+
+
+def tagged_kernel(cols, ncols, p=0):
+    """Canonical kernel basis of the columns, as linalg.kernel_of_columns
+    returns it: each column tagged with a unit entry past every row index
+    and eliminated (Fraction entries, or residues mod p) against the earlier
+    independent ones; a column whose row part vanishes gives its tag part,
+    scaled to coprime integers with a positive lead (p = 0) or to lead 1."""
+    tag = 1 + max((r for col in cols for r in col), default=-1)
+    rows, out = {}, []
+    for j in range(ncols):
+        v = dict(cols[j]) if j < len(cols) else {}
+        v[tag + j] = 1
+        v = {k: x % p if p else Fraction(x) for k, x in v.items()}
+        v = {k: x for k, x in v.items() if x}
+        while min(v) in rows:
+            row, f = rows[min(v)], v[min(v)]
+            for k, x in row.items():
+                y = v.get(k, 0) - f * x
+                if p:
+                    y %= p
+                if y:
+                    v[k] = y
+                else:
+                    v.pop(k, None)
+        lead = min(v)
+        inv = pow(v[lead], -1, p) if p else 1 / v[lead]
+        v = {k: x * inv % p if p else x * inv for k, x in v.items()}
+        if lead < tag:
+            rows[lead] = v
+        else:
+            v = {k - tag: x for k, x in v.items()}
+            out.append(v if p else _primitive_int_row(v))
+    return out
+
+
+def per_product_independent(rb, elems, pairs, tgt_degs, j):
+    """The rank certificate on the products u * elems[g], (g, u) in pairs,
+    tested one by one: for the lead (h0, m0) of each generator on its first
+    component, then for the lead on its last, every u * m0 must be standard
+    in rb and no two products may share (h0, u * m0)."""
+    for first in (True, False):
+        seen = set()
+        prev = None
+        for g, u in pairs:
+            if g != prev:
+                prev, elem = g, elems[g]
+                k = len(elem)
+                if first:
+                    k = 1
+                    while k < len(elem) and elem[k][0] == elem[0][0]:
+                        k += 1
+                h0, m0, _ = elem[k - 1]
+                idx = rb.index(j - tgt_degs[h0])
+            m = tuple(a + b for a, b in zip(u, m0))
+            if m not in idx or (h0, m) in seen:
+                break
+            seen.add((h0, m))
+        else:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

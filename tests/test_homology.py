@@ -8,6 +8,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,7 @@ from oracles import (
     ideal_piece_rows,
     max_wdeg,
     monomials_of_degree,
+    per_product_independent,
     poly_to_dict,
     quotient_dims,
     quotient_piece_dim,
@@ -635,14 +637,17 @@ def test_graded_basis_table_per_degree():
     degree is asked first: basis(j) is the enumerated standard monomials,
     index(j) their positions, and up[w][p] masks the positions of the
     standard products x * m, m the p-th standard monomial of degree j - w
-    and x a variable of weight w. Some products are blocked by a lead."""
-    blocked = 0
+    and x a variable of weight w. Some products are blocked by a lead. The
+    shift table of (j, m0), filled once, places each u * m0 (u standard of
+    degree j - deg m0) in basis(j), and masks the u whose product is
+    standard and the positions they reach."""
+    blocked = shifted = 0
     for R, gens in _table_cases():
         gb = R.groebner(gens)
         rb = homology.GradedBasis(gb)
         units = [tuple(int(i == k) for i in range(R.nvars)) for k in range(R.nvars)]
         for j in (12, *range(12)):
-            basis, index, up = rb._piece(j)
+            basis, index, up, _ = rb._piece(j)
             assert basis == rb.basis(j) == tuple(enumerated_standard_monomials(gb, j)), (R, gens, j)
             assert index == rb.index(j) == {m: q for q, m in enumerate(basis)}
             assert sorted(up) == sorted(set(R.weights))
@@ -652,7 +657,15 @@ def test_graded_basis_table_per_degree():
                     products = [mono_mul(m, x) for x, wx in zip(units, R.weights) if wx == w]
                     assert masks[p] == sum(1 << index[xm] for xm in products if xm in index), (R, gens, j, w, m)
                     blocked += sum(xm not in index for xm in products)
-    assert blocked > 0
+            for m0 in (m for k in range(4) for m in rb.basis(k)):
+                pos, ok, image = shift = rb._shift(j, m0)
+                want = [index.get(mono_mul(u, m0)) for u in rb.basis(j - sum(map(mul, m0, R.weights)))]
+                assert pos == want, (R, gens, j, m0)
+                assert ok == sum(1 << q for q, p in enumerate(want) if p is not None)
+                assert image == sum(1 << p for p in want if p is not None)
+                assert rb._shift(j, m0) is shift
+                shifted += ok != (1 << len(want)) - 1
+    assert blocked > 0 and shifted > 0
     # z^2 - x^4 - y^4 has lead x^4: of the products of x^3, only y * x^3 is standard
     R = parse_session(WEIGHTED_HYPERSURFACE).ring
     rb = homology._graded_basis(R)
@@ -773,25 +786,22 @@ def test_golden_recorder_only_appends(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", ["cubic_cone-qq", "cubic_cone-fp:32003", "two_planes-qq", "two_planes-fp:32003"])
 def test_kernels_only_where_generators_appear(name, monkeypatch):
-    """With no cell copied from two steps back, a kernel is computed at
+    """With no cell copied from two steps back, kernel vectors are read at
     (i, j), 2 <= i <= i_max, only where the rank count (n_{i-1} - r_{i-1})
     - r_i is positive, which is exactly where F_i gains a generator of
     degree j; and at (i_max + 1, j) only where step i_max's built columns
-    are dependent, once per degree of the top generating set."""
+    are dependent, once per degree of the top generating set. Each read
+    kernel is that of step i - 1's pass at j, from the one elimination that
+    gave the pass its rank (see _ResolveWork.resolved)."""
     monkeypatch.setattr(homology, "_period", _never)
-    calls = []
-    kernel = homology.kernel_of_columns
-
-    def counted(*args):
-        calls.append(args)
-        return kernel(*args)
-
-    monkeypatch.setattr(homology, "kernel_of_columns", counted)
+    work = _ResolveWork(monkeypatch)
     (R, I, i_max, d_max), = [case for n, *case in _resolution_cases() if n == name]
     res = truncated_resolution(R, I, i_max, d_max)
+    builds, reads, _ = work.resolved(res)
     cells = {(i, j) for i in range(2, i_max + 1) for j in res.degrees[i]}
     cells |= {(i_max + 1, j) for j in res.top_degrees}
-    assert res.top_degrees and cells and len(calls) == len(cells)
+    assert res.top_degrees and cells and len(reads) == len(cells) and set(reads) == cells
+    assert len(builds) > len(reads)
 
 
 def _never(*args):
@@ -821,16 +831,30 @@ def _pass_step(res, tgt_degs, elems, j):
     return steps[0]
 
 
+class _Read(list):
+    """A pass's kernel that calls back when its vectors are read."""
+
+    def __init__(self, vectors, on_read):
+        super().__init__(vectors)
+        self.on_read = on_read
+
+    def __iter__(self):
+        self.on_read()
+        return super().__iter__()
+
+
 class _ResolveWork:
     """While installed, records the work of each resolution built: every
-    product-column build as (step, j, pairs, cols), every kernel as its
-    cell (i, j) (it reads step i - 1's columns), the cells _resolve copies,
-    the rank passes it reruns for a kernel and the steps the Tor ranks copy.
-    Call resolved(res) after each resolution to map the builds and reruns
-    to steps."""
+    product-column build as (step, j, pairs, cols), every elimination (a
+    kernel_of_columns call), the cells (i, j) whose kernel vectors are read
+    (those of step i - 1's pass at j), the cells _resolve copies, the rank
+    passes it reruns for a kernel and the steps the Tor ranks copy. Call
+    resolved(res) after each resolution to check that each built pass
+    eliminates its columns exactly once and to map the builds, reads and
+    reruns to steps."""
 
     def __init__(self, monkeypatch):
-        self.builds, self.kernels, self.reruns, self.copied, self.tor_steps = [], [], [], set(), 0
+        self.builds, self.eliminated, self.reads, self.reruns, self.copied, self.tor_steps = [], [], [], [], set(), 0
         build, kernel = homology._image_columns, homology.kernel_of_columns
         period, rank_pass = homology._period, homology._rank_pass
 
@@ -839,9 +863,9 @@ class _ResolveWork:
             self.builds.append([tuple(tgt_degs), tuple(elems), j, list(pairs), cols])
             return cols
 
-        def kernel_of(cols, n, field):
-            self.kernels.append(cols)
-            return kernel(cols, n, field)
+        def kernel_of(cols, n, span):
+            self.eliminated.append(cols)
+            return kernel(cols, n, span)
 
         def shifted(degrees, images, i, j, *dead):
             s = period(degrees, images, i, j, *dead)
@@ -851,31 +875,40 @@ class _ResolveWork:
             return s
 
         def passed(rb, elems, degs, tgt_degs, j, dead, *need):
+            key = (tuple(tgt_degs), tuple(elems), j)
             if j in dead:  # a copied or certified pass has its masks already
-                self.reruns.append((tuple(tgt_degs), tuple(elems), j))
-            return rank_pass(rb, elems, degs, tgt_degs, j, dead, *need)
+                self.reruns.append(key)
+            r, n, kept, out = rank_pass(rb, elems, degs, tgt_degs, j, dead, *need)
+            if out is not None:
+                out = (out[0], _Read(out[1], lambda: self.reads.append(key)), out[2])
+            return r, n, kept, out
 
         monkeypatch.setattr(homology, "_image_columns", built)
         monkeypatch.setattr(homology, "kernel_of_columns", kernel_of)
         monkeypatch.setattr(homology, "_period", shifted)
         monkeypatch.setattr(homology, "_rank_pass", passed)
 
+    def clear(self):
+        self.builds, self.eliminated, self.reads, self.reruns = [], [], [], []
+
     def resolved(self, res):
-        """(builds as (i, j, pairs, cols), kernel cells, rerun cells) of res,
-        then clear."""
+        """(builds as (i, j, pairs, cols), cells whose kernel was read, rerun
+        cells) of res, then clear. Every built column list went through
+        exactly one elimination, and nothing else did."""
+        assert sorted(map(id, self.eliminated)) == sorted(id(b[-1]) for b in self.builds)
         builds = [(_pass_step(res, tgt, elems, j), j, pairs, cols) for tgt, elems, j, pairs, cols in self.builds]
-        made = {id(cols): (i, j) for i, j, _, cols in builds}
-        kernels = [(made[id(cols)][0] + 1, made[id(cols)][1]) for cols in self.kernels]
-        reruns = [(_pass_step(res, tgt, elems, j), j) for tgt, elems, j in self.reruns]
-        self.builds, self.kernels, self.reruns = [], [], []
-        return builds, kernels, reruns
+        reads = [(_pass_step(res, *key) + 1, key[2]) for key in self.reads]
+        reruns = [(_pass_step(res, *key), key[2]) for key in self.reruns]
+        self.clear()
+        return builds, reads, reruns
 
 
 @pytest.mark.parametrize("name", ["cubic_cone-qq", "cubic_cone-fp:32003", "two_planes-qq", "two_planes-fp:32003"])
 def test_kernels_only_at_generator_cells_not_copied(name, monkeypatch):
-    """A cell copied from two steps back computes no kernel; every other
-    cell computes one exactly where F_i gains a generator, so the kernel
-    cells are the generator cells less the copied ones. Copying fires on the
+    """A cell copied from two steps back reads no kernel; every other cell
+    reads one exactly where F_i gains a generator, so the cells that read
+    kernel vectors are the generator cells less the copied ones. Every built
+    pass eliminates its columns once, for its rank and its kernel alike. Copying fires on the
     hypersurface and never on two_planes, whose Betti numbers grow. A copied
     cell builds no columns, so the top kernel reruns step i_max's pass at a
     copied cell, exactly where the top set gains vectors; no other pass
@@ -888,11 +921,11 @@ def test_kernels_only_at_generator_cells_not_copied(name, monkeypatch):
         work = _ResolveWork(monkeypatch)
         (R, I, i_max, d_max), = [case for n, *case in _resolution_cases() if n == name]
         res = truncated_resolution(R, I, i_max, d_max)
-        _, kernels, reruns = work.resolved(res)
+        _, reads, reruns = work.resolved(res)
         cells = {(i, j) for i in range(2, i_max + 1) for j in res.degrees[i]}
         cells |= {(i_max + 1, j) for j in res.top_degrees}
-        assert len(kernels) == len(set(kernels))
-        assert set(kernels) == cells - work.copied
+        assert len(reads) == len(set(reads))
+        assert set(reads) == cells - work.copied
         assert bool(work.copied) == name.startswith("cubic_cone")
         assert sorted(reruns) == sorted({(i_max, j) for j in res.top_degrees} & work.copied)
         assert bool(reruns) == name.startswith("cubic_cone")
@@ -903,7 +936,7 @@ def test_kernels_only_at_generator_cells_not_copied(name, monkeypatch):
 def test_periodic_steps_build_no_columns(field, window, monkeypatch):
     """Over the cubic cone the resolution is 2-periodic from step 4 on, so
     every cell of steps 6 to i_max is copied. Steps 6 to i_max - 1 build no
-    product column and compute no kernel; step i_max builds its columns only
+    product column and read no kernel; step i_max builds its columns only
     where the top kernel reads them, at the degrees of the top set. With
     certified ranks on, step 5, whose cells do not repeat step 3's, builds
     only where its columns feed a kernel of step 6; with them off, it builds
@@ -916,14 +949,14 @@ def test_periodic_steps_build_no_columns(field, window, monkeypatch):
         work = _ResolveWork(monkeypatch)
         session = parse_session(CUBIC_SESSION, field_from_name(field))
         res = truncated_resolution(session.ring, session.ideals["I"], i_max, d_max)
-        builds, kernels, _ = work.resolved(res)
+        builds, reads, _ = work.resolved(res)
         columns, degrees = Counter(), {}
         for i, j, pairs, _ in builds:
             columns[i] += len(pairs)
             degrees.setdefault(i, set()).update([j] if pairs else [])
         periodic = range(6, i_max)
         assert not [i for i in columns if i in periodic and columns[i]]
-        assert not [cell for cell in kernels if cell[0] in periodic]
+        assert not [cell for cell in reads if cell[0] in periodic]
         assert degrees.get(i_max, set()) == set(res.top_degrees)
         if shortcuts:
             assert columns[4] and degrees[5] == set(res.degrees[6])
@@ -1038,7 +1071,7 @@ def test_copied_cells_match_computed_ones(copy, monkeypatch):
         for (label, R, I, J, i_max, d_max), want in zip(_differential_cases(), expected):
             _, _, cells = work.resolved(truncated_resolution(R, I, i_max, d_max))
             assert outputs(R, I, J, i_max, d_max) == want, label
-            work.builds.clear()  # the Tor ranks' builds
+            work.clear()  # the Tor ranks' builds
             reruns.update("top" if i == i_max else "below" for i, _ in cells)
         assert work.copied and work.tor_steps and reruns["top"]
         assert bool(reruns["below"]) == (copy == "odd steps")
@@ -1068,7 +1101,9 @@ def test_certified_and_copied_passes_match_built_ones(monkeypatch):
     digest), the top set, the Tor entries and the completeness bound are
     those of the route where every rank pass that runs builds and
     eliminates its columns. Cells and Tor steps are copied on every route.
-    The certificate, and its descending order alone, fire on these cases."""
+    The certificate, and its descending order alone, fire on these cases,
+    and on every pass the mask certificate gives the verdict of the one
+    that tests the products one by one (oracles.per_product_independent)."""
     independent = homology._independent
     fired = Counter()
 
@@ -1076,6 +1111,7 @@ def test_certified_and_copied_passes_match_built_ones(monkeypatch):
 
     def certify(*args):
         ok = independent(*args)
+        assert ok == per_product_independent(*_per_product_args(*args))
         fired["certified"] += ok
         fired["descending only"] += ok and not ascending(*args)
         return ok
@@ -1138,22 +1174,52 @@ def _dense_rank_of_columns(rb, cols, tgt_degs, j):
     return dense_rank([[col.get(k, 0) for k in range(width)] for col in cols], rb.ring.field.p)
 
 
+def _degree(rb, elem, tgt_degs):
+    """The degree of an element of the free module on tgt_degs."""
+    h, m, _ = elem[0]
+    return tgt_degs[h] + sum(a * w for a, w in zip(m, rb.ring.weights))
+
+
+def _kept_masks(rb, elems, pairs, tgt_degs, j):
+    """The products (g, u) in pairs as one mask per g over the standard
+    monomials u of degree j - deg elems[g]: _independent's argument."""
+    kept = [0] * len(elems)
+    for g, u in pairs:
+        kept[g] |= 1 << rb.index(j - _degree(rb, elems[g], tgt_degs))[u]
+    return kept
+
+
+def _per_product_args(rb, elems, kept, tgt_degs, j):
+    """_independent's arguments with the masks listed as products (g, u)."""
+    pairs = [
+        (g, u)
+        for g, (elem, mask) in enumerate(zip(elems, kept))
+        for q, u in enumerate(rb.basis(j - _degree(rb, elem, tgt_degs)))
+        if mask >> q & 1
+    ]
+    return rb, elems, pairs, tgt_degs, j
+
+
 def test_certificate_is_sound(monkeypatch):
-    """Whenever _independent certifies the products u * elems[g], (g, u) in
-    pairs, their columns are independent: a dense rank of the built columns
-    equals their count. Inputs: every product of a resolution's generators
-    over R and over R/J, and random halves of them, on the dense cubic cone
-    and seeded random quotients; random elements, some of them sums of
-    earlier elements' multiples, over random quotients; and every pass that
-    a cubic cone Tor table asks about, where many verdicts come from the
-    descending order alone."""
+    """Whenever _independent certifies the products u * elems[g], u in the
+    mask of g, their columns are independent: a dense rank of the built
+    columns equals their count. Its verdict is that of the certificate that
+    tests the products one by one (oracles.per_product_independent).
+    Inputs: every product of a resolution's generators over R and over R/J,
+    and random halves of them, on the dense cubic cone and seeded random
+    quotients; random elements, some of them sums of earlier elements'
+    multiples, over random quotients; and every pass that a cubic cone Tor
+    table asks about, where many verdicts come from the descending order
+    alone."""
     rng = random.Random(2300)
     verdicts = Counter()
 
     def check(rb, elems, pairs, tgt_degs, j):
-        ok = homology._independent(rb, elems, pairs, tgt_degs, j)
+        kept = _kept_masks(rb, elems, pairs, tgt_degs, j)
+        ok = homology._independent(rb, elems, kept, tgt_degs, j)
+        assert ok == per_product_independent(rb, elems, pairs, tgt_degs, j), (elems, pairs, j)
         verdicts[ok] += 1
-        verdicts["descending only"] += ok and not _ascending(homology._independent)(rb, elems, pairs, tgt_degs, j)
+        verdicts["descending only"] += ok and not _ascending(homology._independent)(rb, elems, kept, tgt_degs, j)
         if ok:
             cols = homology._image_columns(rb, elems, pairs, tgt_degs, j)
             assert _dense_rank_of_columns(rb, cols, tgt_degs, j) == len(pairs), (elems, pairs, j)
@@ -1193,7 +1259,7 @@ def test_certificate_is_sound(monkeypatch):
         tor_table(*_ladder_case("cubic_cone", field), 8, 14)
     monkeypatch.undo()
     for args in asked:
-        check(*args)
+        check(*_per_product_args(*args))
     assert verdicts[True] > 100 and verdicts[False] > 100 and verdicts["descending only"] > 100
 
 

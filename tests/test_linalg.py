@@ -8,7 +8,7 @@ import pytest
 from gradedchi.linalg import EchelonSpan, _primitive_int_row, kernel_of_columns
 from gradedchi.rings import QQ, field_from_name
 
-from oracles import StepwiseQQSpan, dense_rank, stepwise_qq_kernel
+from oracles import StepwiseQQSpan, dense_rank, stepwise_qq_kernel, tagged_kernel
 from oracles import _primitive_int_row as reference_primitive_int_row
 
 P = 32003
@@ -97,13 +97,52 @@ def test_random_rank_and_kernel_against_dense_oracle(field, seed):
     rank = dense_rank(dense(cols, nrows), field.p)
     assert span_rank(cols, field) == rank
 
-    kernel = kernel_of_columns(cols, ncols, field)
+    kernel = kernel_of_columns(cols, ncols, EchelonSpan(field))
     assert len(kernel) + rank == ncols
     for vec in kernel:
         assert vec and annihilates(vec, cols, field)
         assert canonical_lead(vec, field)
     rows = [[vec.get(j, 0) for j in range(ncols)] for vec in kernel]
     assert dense_rank(rows, field.p) == len(kernel)
+
+
+KERNEL_FIELDS = [
+    pytest.param(QQ, id="qq"),
+    pytest.param(field_from_name("fp:2"), id="gf2"),
+    pytest.param(field_from_name("fp:7"), id="gf7"),
+    pytest.param(GF, id="gf32003"),
+]
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS)
+@pytest.mark.parametrize("seed", range(30))
+def test_kernel_fills_the_span_an_add_loop_fills(field, seed):
+    """One tagged elimination gives the kernel and the span: the kernel is
+    the tagged kernel of a span of its own (oracles.tagged_kernel), and the
+    span's rows, tags dropped, are those an add loop over the same columns
+    stores, so its row count is the rank; each kernel vector's largest index
+    is a column that the loop finds spanned, an empty one giving its unit
+    vector; neither depends on the order of a column's entries. Columns
+    are random (empty, repeated and combined ones among them), and over QQ
+    also rows whose leads collide, with Fraction entries."""
+    rng = random.Random(900 + seed)
+    if not field.p and seed % 2:
+        ncols = rng.randint(1, 12)
+        cols = random_qq_rows(rng, ncols, rng.randint(2, 6))
+    else:
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 12)
+        cols = random_columns(rng, field, nrows, ncols)
+    ncols += seed % 3  # columns past len(cols) are empty
+    span, ref = EchelonSpan(field), EchelonSpan(field)
+    kernel = kernel_of_columns(cols, ncols, span)
+    assert kernel == tagged_kernel(cols, ncols, field.p)
+    spanned = [q for q in range(ncols) if not ref.add(cols[q] if q < len(cols) else {})]
+    assert span.rows == ref.rows
+    assert [max(vec) for vec in kernel] == spanned
+    assert all({q: 1} in kernel for q in range(ncols) if q >= len(cols) or not cols[q])
+    shuffled = [dict(rng.sample(list(col.items()), len(col))) for col in cols]
+    again = EchelonSpan(field)
+    assert kernel_of_columns(shuffled, ncols, again) == kernel and again.rows == span.rows
 
 
 @pytest.mark.parametrize("field", PRIME_FIELDS)
@@ -123,7 +162,7 @@ def test_unreduced_entries_give_the_reduced_rank_and_kernel(field, seed):
         shifted.append({r: v for r, v in col.items() if v})
     assert any(v < 0 or v >= p for col in shifted for v in col.values())
     assert span_rank(shifted, field) == dense_rank(dense(cols, nrows), p)
-    assert kernel_of_columns(shifted, ncols, field) == kernel_of_columns(cols, ncols, field)
+    assert kernel_of_columns(shifted, ncols, EchelonSpan(field)) == kernel_of_columns(cols, ncols, EchelonSpan(field))
     span, ref = EchelonSpan(field), EchelonSpan(field)
     for col, reduced in zip(shifted, cols):
         assert span.add(col) == ref.add(reduced)
@@ -139,15 +178,15 @@ def test_kernel_is_independent_of_entry_order(field, seed):
         items = list(col.items())
         rng.shuffle(items)
         shuffled.append(dict(items))
-    want = kernel_of_columns(cols, 9, field)
-    assert kernel_of_columns(shuffled, 9, field) == want
+    want = kernel_of_columns(cols, 9, EchelonSpan(field))
+    assert kernel_of_columns(shuffled, 9, EchelonSpan(field)) == want
 
 
 @pytest.mark.parametrize("field", FIELDS)
 def test_empty_and_zero_columns(field):
-    assert kernel_of_columns([], 0, field) == []
-    assert kernel_of_columns([], 2, field) == [{0: 1}, {1: 1}]
-    assert kernel_of_columns([{}, {}], 2, field) == [{0: 1}, {1: 1}]
+    assert kernel_of_columns([], 0, EchelonSpan(field)) == []
+    assert kernel_of_columns([], 2, EchelonSpan(field)) == [{0: 1}, {1: 1}]
+    assert kernel_of_columns([{}, {}], 2, EchelonSpan(field)) == [{0: 1}, {1: 1}]
     assert span_rank([], field) == 0
     assert span_rank([{}, {}], field) == 0
 
@@ -161,7 +200,7 @@ def test_pinned_kernel_qq():
         {0: 1, 1: Fraction(3, 2), 2: 7},
         {1: 5},
     ]
-    assert kernel_of_columns(cols, len(cols), QQ) == [
+    assert kernel_of_columns(cols, len(cols), EchelonSpan(QQ)) == [
         {1: 1},
         {0: 1, 2: 2},
         {0: 1, 3: 6, 4: -2},
@@ -170,7 +209,7 @@ def test_pinned_kernel_qq():
 
 def test_pinned_kernel_gf():
     cols = [{0: 3, 1: 5}, {0: 6, 1: 10}, {1: 7, 2: 2}, {}, {0: 3, 1: 12, 2: 2}, {2: 9}]
-    assert kernel_of_columns(cols, len(cols), GF) == [
+    assert kernel_of_columns(cols, len(cols), EchelonSpan(GF)) == [
         {0: 1, 1: 16001},
         {3: 1},
         {0: 1, 2: 1, 4: 32002},
@@ -230,7 +269,7 @@ def test_qq_kernel_matches_stepwise_oracle(seed):
     else:
         nrows, ncols = rng.randint(1, 8), rng.randint(1, 10)
         cols = random_columns(rng, QQ, nrows, ncols)
-    got = kernel_of_columns(cols, ncols, QQ)
+    got = kernel_of_columns(cols, ncols, EchelonSpan(QQ))
     assert got == stepwise_qq_kernel(cols, ncols)
     assert all(int_entries(vec) for vec in got)
 
