@@ -68,14 +68,17 @@ reaches n_{i-1} - r_{i-1}, so that the cell gains no generator; the Tor
 ranks do so wherever the certificate holds. Only the first order serves
 two_planes, only the last the cubic cone's steps 2 to 5.
 
-A cell (i, j) of the resolution that reads what cell (i - 2, j - s) read,
-every degree raised by s, copies its rank, column and kept counts, dead
-masks (exactly the non-pivot columns, so canonical) and new generators; a
-Tor step copies step i - 2's ranks likewise (see _period). Cells are
-deterministic in what they read, so the copy is exact. It fires over
-hypersurfaces, whose resolutions become 2-periodic with s the relation's
-degree (Eisenbud, Trans. AMS 260, 1980), never where Betti numbers grow. A
-kernel that gains vectors reruns the copied or certified pass it reads.
+Each cell (i, j) keeps a Cell record of how it was served and what it
+counted, and the resolution and the Tor table return theirs, in the order
+they ran, as their cells. A cell of the resolution that reads what cell
+(i - 2, j - s) read, every degree raised by s, copies its record (rank,
+column and kept counts), dead masks (exactly the non-pivot columns, so
+canonical) and new generators; a Tor step copies step i - 2's records
+likewise (see _period). Cells are deterministic in what they read, so the
+copy is exact. It fires over hypersurfaces, whose resolutions become
+2-periodic with s the relation's degree (Eisenbud, Trans. AMS 260, 1980),
+never where Betti numbers grow. A kernel that gains vectors reruns the
+copied or certified pass it reads.
 
 Everything here is exact: entries of the Tor table are true dimensions for
 all internal degrees <= d_max, because a generator of internal degree above
@@ -86,7 +89,7 @@ to the certified completeness bound and never beyond.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from operator import add
@@ -221,6 +224,27 @@ def _validated_gens(ring: GradedRing, gens):
     return gens
 
 
+class Cell(NamedTuple):
+    """What cell (i, j) of a resolution, or of the Tor ranks, did. how is
+    "copied" (from (i - 2, j - s)), "certified", "built" or "top" (i =
+    i_max + 1: no rank pass). rank is its pass's rank; cols, kept and built
+    count its products, the kept ones and the columns it built. read: it read
+    step i - 1's kernel at j; rerun: it reran that pass to do so; new: the
+    generators (top vectors) it added. A copied cell repeats its source's
+    record but for i, j and how: that work was done at the source."""
+
+    i: int
+    j: int
+    how: str
+    rank: int
+    cols: int
+    kept: int
+    built: int
+    read: bool
+    rerun: bool
+    new: int
+
+
 class TruncatedResolution(NamedTuple):
     """A minimal graded free resolution of R/I over R, truncated at (i_max, d_max).
 
@@ -242,6 +266,8 @@ class TruncatedResolution(NamedTuple):
     F_{i_max+1}. For i_max = 0 the kernel is that of F_0 -> R/I, which is
     I, and top_images holds the ideal's generators in normal form, with
     field-element coefficients. Either way its terms are sorted as images'.
+    cells holds a Cell per (i, j), 1 <= i <= i_max + 1, from the ideal's
+    lowest degree through d_max, degree-major: the order they ran in.
     """
 
     ring: GradedRing
@@ -252,6 +278,7 @@ class TruncatedResolution(NamedTuple):
     images: tuple
     top_degrees: tuple
     top_images: tuple
+    cells: tuple
 
 
 def _image_columns(rb: GradedBasis, elems, pairs, tgt_degs, j: int) -> list:
@@ -434,17 +461,17 @@ def _resolve(ring: GradedRing, gens, i_max: int, d_max: int) -> TruncatedResolut
     # are final for every degree <= j. Step i_max + 1 runs no rank pass: it
     # keeps every kernel vector of step i_max's kept columns, which exist
     # where that pass met a zero residual. images[i] keeps each vector as
-    # (component, monomial, coefficient) terms. done[i][j] = (r_i, n_i,
-    # kept_i) counts rank, columns and kept columns; a copied cell takes
-    # those, dead[i][j] and its new generators from (i - 2, j - s). need is
-    # the rank at which (i, j) gains no generator, n_{i-1} - r_{i-1} (step 1:
+    # (component, monomial, coefficient) terms. cells[i, j] is the cell's
+    # Cell, whose rank, cols and kept step i + 1 reads; a copied cell takes
+    # it, dead[i][j] and its new generators from (i - 2, j - s). need is the
+    # rank at which (i, j) gains no generator, n_{i-1} - r_{i-1} (step 1:
     # any rank, unless an ideal generator of degree j is tested). There a
     # certified pass, like a copied cell, builds no column and leaves built
     # None; a kernel read at (i + 1, j), the top one included, reruns it.
     degrees = [[0]] + [[] for _ in range(i_max + 1)]
     images = [[] for _ in range(i_max + 2)]
     dead = [{} for _ in range(i_max + 1)]
-    done = [{} for _ in range(i_max + 1)]
+    cells: dict = {}
 
     def rank_pass(k, j, need=None):  # step k's pass at j, over its generators below j
         c = bisect_left(degrees[k], j)
@@ -463,27 +490,23 @@ def _resolve(ring: GradedRing, gens, i_max: int, d_max: int) -> TruncatedResolut
         # degree-j products, which step i + 1 needs, when F_{i-1} has none
         for i in range(1, i_max + 2):
             top = i > i_max
-            if i > 1:
-                prev_rank, prev_n, prev_kept = done[i - 1][j]
-            need = prev_n - prev_rank if i > 1 else (None if piece else 0)
+            prev = cells.get((i - 1, j))
+            need = prev.cols - prev.rank if prev else (None if piece else 0)
             # a cell that reads what (i - 2, j - s) read, shifted, copies it
             s = None if top else _period(degrees, images, i, j, dead, weights)
             if s:
-                built = None
-                done[i][j], dead[i][j] = done[i - 2][j - s], dead[i - 2][j - s]
-                lo, hi = bisect_left(degrees[i - 2], j - s), bisect_right(degrees[i - 2], j - s)
-                degrees[i] += [j] * (hi - lo)
-                images[i] += images[i - 2][lo:hi]
+                built, src = None, cells[i - 2, j - s]
+                cells[i, j], dead[i][j] = src._replace(i=i, j=j, how="copied"), dead[i - 2][j - s]
+                lo = bisect_left(degrees[i - 2], j - s)
+                degrees[i] += [j] * src.new
+                images[i] += images[i - 2][lo : lo + src.new]
                 continue
-            if not top:
-                r, n, new_kept, new_built = rank_pass(i, j, need)
-                done[i][j] = r, n, new_kept
-            if i > 1:
-                new = prev_kept - prev_rank if top else need - r
-                piece = []
-                if new > 0:  # read step i - 1's kernel, rerunning its pass if it built nothing at j
-                    kept, kernel, _ = built or rank_pass(i - 1, j)[3]
-                    piece = [{kept[k]: c for k, c in vec.items()} for vec in kernel]
+            rank, n, kept, new_built = (0, 0, 0, None) if top else rank_pass(i, j, need)
+            read = prev is not None and (prev.kept - prev.rank if top else need - rank) > 0
+            if read:  # step i - 1's kernel, rerunning its pass if it built nothing at j
+                kept_at, kernel, _ = built or rank_pass(i - 1, j)[3]
+                piece = [{kept_at[k]: c for k, c in vec.items()} for vec in kernel]
+            had = len(degrees[i])
             if piece:
                 # position -> (component, monomial) in the degree-j piece of F_{i-1}
                 slots = [(h, m) for h, d in enumerate(degrees[i - 1]) for m in rb.basis(j - d)]
@@ -492,11 +515,15 @@ def _resolve(ring: GradedRing, gens, i_max: int, d_max: int) -> TruncatedResolut
                     if r:
                         degrees[i].append(j)
                         images[i].append(tuple((*slots[k], c) for k, c in sorted(r.items())))
-            if not top:
-                built = new_built
+            how = "top" if top else "built" if new_built else "certified"
+            rerun = read and built is None
+            cells[i, j] = Cell(i, j, how, rank, n, kept, kept if new_built else 0, read, rerun, len(degrees[i]) - had)
+            built, piece = new_built, []  # step i + 1 tests the kernel vectors it reads, if any
 
     degrees, images = tuple(map(tuple, degrees)), tuple(map(tuple, images))
-    return TruncatedResolution(ring, gens, i_max, d_max, degrees[:-1], images[:-1], degrees[-1], images[-1])
+    return TruncatedResolution(
+        ring, gens, i_max, d_max, degrees[:-1], images[:-1], degrees[-1], images[-1], tuple(cells.values())
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +539,8 @@ class TorTable(NamedTuple):
     below the smallest generator degree of F_{i_max+1}, no homological
     degree beyond i_max can contribute. betti lists the generator degrees
     of F_0 ... F_{i_max}: F_{i_max+1} is never resolved, and its lowest
-    degree is read off a generating set of ker d_{i_max}.
+    degree is read off a generating set of ker d_{i_max}. cells holds a Cell
+    per rank pass over R/J, step-major, i = 1 ... i_max + 1 (the top set).
     """
 
     i_max: int
@@ -520,6 +548,7 @@ class TorTable(NamedTuple):
     entries: dict
     chi_complete_through: int
     betti: tuple
+    cells: tuple
 
     def entry(self, i: int, j: int) -> int:
         return self.entries.get((i, j), 0)
@@ -555,24 +584,24 @@ def _tor_table(ring: GradedRing, I, J, i_max: int, d_max: int) -> TorTable:
     degrees = (*res.degrees, res.top_degrees)
     images = (*res.images, res.top_images)
 
-    ranks = [{} for _ in range(i_max + 2)]
+    steps = [{} for _ in range(i_max + 2)]  # steps[i][j]: the Cell of step i at degree j
     for i in range(1, i_max + 2):
         s = _period(degrees, images, i, d_max + 1) if i <= i_max else None
         if s:
-            ranks[i] = {j + s: r for j, r in ranks[i - 2].items() if j + s <= d_max}
+            shifted = ((j + s, c) for j, c in steps[i - 2].items() if j + s <= d_max)
+            steps[i] = {j: c._replace(i=i, j=j, how="copied") for j, c in shifted}
             continue
         dead: dict = {}
         for j in range(min(degrees[i], default=d_max + 1), d_max + 1):
-            r = _rank_pass(nb, images[i], degrees[i], degrees[i - 1], j, dead, 0)[0]
-            if r:
-                ranks[i][j] = r
+            r, n, kept, out = _rank_pass(nb, images[i], degrees[i], degrees[i - 1], j, dead, 0)
+            steps[i][j] = Cell(i, j, "built" if out else "certified", r, n, kept, kept if out else 0, False, False, 0)
 
     entries: dict = {}
     for i in range(i_max + 1):
         counts = Counter(degrees[i]).items()
         for j in range(d_max + 1):
             dt = sum(n * nb.dim(j - d) for d, n in counts)
-            e = dt - ranks[i].get(j, 0) - ranks[i + 1].get(j, 0)
+            e = dt - sum(step[j].rank for step in steps[i : i + 2] if j in step)
             if e:
                 entries[(i, j)] = e
 
@@ -583,6 +612,7 @@ def _tor_table(ring: GradedRing, I, J, i_max: int, d_max: int) -> TorTable:
         entries=MappingProxyType(entries),
         chi_complete_through=bound,
         betti=res.degrees,
+        cells=tuple(c for step in steps for c in step.values()),
     )
 
 

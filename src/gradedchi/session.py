@@ -13,7 +13,7 @@ Grammar (informally):
                 | "check" NAME NAME flag* ";"
                 | "gulliksen" NAME NAME ";"
                 | "cartier" poly INT NAME ";"
-    flag       := "--imax" INT | "--dmax" INT
+    flag       := "--imax" INT | "--dmax" INT   -- each at most once
 
 Polynomials use integer (or INT/INT fraction) coefficients, "+", "-", "*",
 "^" and parentheses. "#" starts a comment through end of line. Everything
@@ -305,6 +305,8 @@ class _Parser:
             t = self.advance()
             if t.value not in ("imax", "dmax"):
                 raise SessionError(f"unknown flag --{t.value}", t.line, t.col)
+            if t.value in flags:
+                raise SessionError(f"repeated flag --{t.value}", t.line, t.col)
             flags[t.value] = self.expect_int(f"a value for --{t.value}")
         return flags
 

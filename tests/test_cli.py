@@ -88,22 +88,26 @@ def test_check_report_pass():
 def test_check_after_tor_reuses_the_tor_table(monkeypatch):
     """The ring memoises the Tor table per window, so a `check` after a `tor`
     on the same window runs no rank pass, and both reports read as when each
-    command runs alone."""
+    command runs alone. Counted as eliminations: the Tor table's cell log
+    shows passes that build, each of which would eliminate again."""
     from gradedchi import homology
 
     calls = []
-    rank_pass = homology._rank_pass
+    kernel = homology.kernel_of_columns
 
     def counted(*args):
         calls.append(args)
-        return rank_pass(*args)
+        return kernel(*args)
 
-    monkeypatch.setattr(homology, "_rank_pass", counted)
+    monkeypatch.setattr(homology, "kernel_of_columns", counted)
     tor_cmd = "tor I J --imax 4 --dmax 8;\n"
     check_cmd = "check I J --imax 4 --dmax 8;\n"
     prefix = CUBIC_CHECK.replace(check_cmd, "")
-    alone = [run(parse_session(prefix + tor_cmd)).sections[0]]
+    session = parse_session(prefix + tor_cmd)
+    alone = [run(session).sections[0]]
     tor_ranks = len(calls)
+    tt = homology.tor_table(session.ring, session.ideals["I"], session.ideals["J"], 4, 8)  # the memoised table
+    assert [c for c in tt.cells if c.how == "built"]
     alone.append(run(parse_session(prefix + check_cmd)).sections[0])
     calls.clear()
     both = run(parse_session(prefix + tor_cmd + check_cmd))

@@ -5,6 +5,8 @@ import hashlib
 import inspect
 import json
 import random
+import re
+import runpy
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -415,6 +417,27 @@ def test_homology_shares_no_module_with_the_closed_form():
     assert not imported & forbidden
 
 
+def test_tests_patch_only_the_shortcuts_and_the_eliminations():
+    """Tests read what the resolution and the Tor ranks did from their cell
+    logs. Every setattr(homology, name, ...) of a monkeypatch under tests/
+    turns off a shortcut (_period, _independent) or counts eliminations
+    (kernel_of_columns); only the two skipped-column tests record the built
+    column lists (_image_columns), and pair them with the logs."""
+    patched = set()
+    for path in Path(__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                call = ast.unparse(node) if isinstance(node, ast.Call) else ""
+                if re.match(r"[\w.]*setattr\(homology, ", call):
+                    patched.add((getattr(top, "name", None), ast.literal_eval(node.args[1])))
+    names = {name for _, name in patched}
+    assert names and names <= {"_period", "_independent", "_image_columns", "kernel_of_columns"}
+    assert {test for test, name in patched if name == "_image_columns"} == {
+        "test_skipped_columns_reduce_to_zero_in_a_full_pass",
+        "test_skipped_tor_columns_reduce_to_zero_in_a_full_pass",
+    }
+
+
 # ---------------------------------------------------------------------------
 # exactness and recorded resolutions on seeded random quotient rings
 
@@ -792,12 +815,10 @@ def test_kernels_only_where_generators_appear(name, monkeypatch):
     degree j; and at (i_max + 1, j) only where step i_max's built columns
     are dependent, once per degree of the top generating set. Each read
     kernel is that of step i - 1's pass at j, from the one elimination that
-    gave the pass its rank (see _ResolveWork.resolved)."""
+    gave the pass its rank (see _resolved)."""
     monkeypatch.setattr(homology, "_period", _never)
-    work = _ResolveWork(monkeypatch)
     (R, I, i_max, d_max), = [case for n, *case in _resolution_cases() if n == name]
-    res = truncated_resolution(R, I, i_max, d_max)
-    builds, reads, _ = work.resolved(res)
+    res, builds, reads, _ = _resolved(R, I, i_max, d_max)
     cells = {(i, j) for i in range(2, i_max + 1) for j in res.degrees[i]}
     cells |= {(i_max + 1, j) for j in res.top_degrees}
     assert res.top_degrees and cells and len(reads) == len(cells) and set(reads) == cells
@@ -817,90 +838,46 @@ def _shortcuts_off(monkeypatch):
     monkeypatch.setattr(homology, "_independent", _never)
 
 
-def _pass_step(res, tgt_degs, elems, j):
-    """The step i whose rank pass at degree j reads these inputs: F_{i-1}'s
-    generator degrees through j and F_i's images below j. Only steps with
-    nothing to read share their inputs; the lowest of them is returned."""
-    steps = [
-        i
-        for i in range(1, res.i_max + 1)
-        if tgt_degs == tuple(d for d in res.degrees[i - 1] if d <= j)
-        and elems == tuple(img for d, img in zip(res.degrees[i], res.images[i]) if d < j)
-    ]
-    assert steps and (len(steps) == 1 or not elems), (j, steps)
-    return steps[0]
+def _eliminated(build):
+    """build() and the number of eliminations (kernel_of_columns calls) it ran."""
+    calls, kernel = [], homology.kernel_of_columns
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(homology, "kernel_of_columns", counted)
+        return build(), len(calls)
 
 
-class _Read(list):
-    """A pass's kernel that calls back when its vectors are read."""
+def _work(cells):
+    """(builds, reads, reruns) of a cell log in the order they ran: (i, j,
+    columns) per pass that built its columns, a cell's own, then step i - 1's
+    at j if the cell reran it; the cells (i, j) that read a kernel; the
+    reruns, as (i - 1, j). A copied cell did none of the work it records."""
+    builds, reads, reruns = [], [], []
+    for prev, c in zip((None, *cells), cells):
+        if c.how == "copied":
+            continue
+        if c.how == "built":
+            builds.append((c.i, c.j, c.built))
+        if c.rerun:
+            builds.append((prev.i, prev.j, prev.kept))
+            reruns.append((prev.i, prev.j))
+        if c.read:
+            reads.append((c.i, c.j))
+    return builds, reads, reruns
 
-    def __init__(self, vectors, on_read):
-        super().__init__(vectors)
-        self.on_read = on_read
 
-    def __iter__(self):
-        self.on_read()
-        return super().__iter__()
-
-
-class _ResolveWork:
-    """While installed, records the work of each resolution built: every
-    product-column build as (step, j, pairs, cols), every elimination (a
-    kernel_of_columns call), the cells (i, j) whose kernel vectors are read
-    (those of step i - 1's pass at j), the cells _resolve copies, the rank
-    passes it reruns for a kernel and the steps the Tor ranks copy. Call
-    resolved(res) after each resolution to check that each built pass
-    eliminates its columns exactly once and to map the builds, reads and
-    reruns to steps."""
-
-    def __init__(self, monkeypatch):
-        self.builds, self.eliminated, self.reads, self.reruns, self.copied, self.tor_steps = [], [], [], [], set(), 0
-        build, kernel = homology._image_columns, homology.kernel_of_columns
-        period, rank_pass = homology._period, homology._rank_pass
-
-        def built(rb, elems, pairs, tgt_degs, j):
-            cols = build(rb, elems, pairs, tgt_degs, j)
-            self.builds.append([tuple(tgt_degs), tuple(elems), j, list(pairs), cols])
-            return cols
-
-        def kernel_of(cols, n, span):
-            self.eliminated.append(cols)
-            return kernel(cols, n, span)
-
-        def shifted(degrees, images, i, j, *dead):
-            s = period(degrees, images, i, j, *dead)
-            if s and dead:
-                self.copied.add((i, j))
-            self.tor_steps += bool(s and not dead)
-            return s
-
-        def passed(rb, elems, degs, tgt_degs, j, dead, *need):
-            key = (tuple(tgt_degs), tuple(elems), j)
-            if j in dead:  # a copied or certified pass has its masks already
-                self.reruns.append(key)
-            r, n, kept, out = rank_pass(rb, elems, degs, tgt_degs, j, dead, *need)
-            if out is not None:
-                out = (out[0], _Read(out[1], lambda: self.reads.append(key)), out[2])
-            return r, n, kept, out
-
-        monkeypatch.setattr(homology, "_image_columns", built)
-        monkeypatch.setattr(homology, "kernel_of_columns", kernel_of)
-        monkeypatch.setattr(homology, "_period", shifted)
-        monkeypatch.setattr(homology, "_rank_pass", passed)
-
-    def clear(self):
-        self.builds, self.eliminated, self.reads, self.reruns = [], [], [], []
-
-    def resolved(self, res):
-        """(builds as (i, j, pairs, cols), cells whose kernel was read, rerun
-        cells) of res, then clear. Every built column list went through
-        exactly one elimination, and nothing else did."""
-        assert sorted(map(id, self.eliminated)) == sorted(id(b[-1]) for b in self.builds)
-        builds = [(_pass_step(res, tgt, elems, j), j, pairs, cols) for tgt, elems, j, pairs, cols in self.builds]
-        reads = [(_pass_step(res, *key) + 1, key[2]) for key in self.reads]
-        reruns = [(_pass_step(res, *key), key[2]) for key in self.reruns]
-        self.clear()
-        return builds, reads, reruns
+def _resolved(R, I, i_max, d_max):
+    """truncated_resolution(R, I, i_max, d_max), built afresh, and the _work
+    of its cell log. Each pass the log says built its columns, a rerun
+    included, ran exactly one elimination, and nothing else ran one."""
+    res, eliminations = _eliminated(lambda: truncated_resolution(R, I, i_max, d_max))
+    work = _work(res.cells)
+    assert eliminations == len(work[0])
+    return (res, *work)
 
 
 @pytest.mark.parametrize("name", ["cubic_cone-qq", "cubic_cone-fp:32003", "two_planes-qq", "two_planes-fp:32003"])
@@ -918,16 +895,15 @@ def test_kernels_only_at_generator_cells_not_copied(name, monkeypatch):
         if not shortcuts:
             monkeypatch.undo()
             _shortcuts_off(monkeypatch)
-        work = _ResolveWork(monkeypatch)
         (R, I, i_max, d_max), = [case for n, *case in _resolution_cases() if n == name]
-        res = truncated_resolution(R, I, i_max, d_max)
-        _, reads, reruns = work.resolved(res)
+        res, _, reads, reruns = _resolved(R, I, i_max, d_max)
+        copied = {(c.i, c.j) for c in res.cells if c.how == "copied"}
         cells = {(i, j) for i in range(2, i_max + 1) for j in res.degrees[i]}
         cells |= {(i_max + 1, j) for j in res.top_degrees}
         assert len(reads) == len(set(reads))
-        assert set(reads) == cells - work.copied
-        assert bool(work.copied) == name.startswith("cubic_cone")
-        assert sorted(reruns) == sorted({(i_max, j) for j in res.top_degrees} & work.copied)
+        assert set(reads) == cells - copied
+        assert bool(copied) == name.startswith("cubic_cone")
+        assert sorted(reruns) == sorted({(i_max, j) for j in res.top_degrees} & copied)
         assert bool(reruns) == name.startswith("cubic_cone")
 
 
@@ -946,14 +922,12 @@ def test_periodic_steps_build_no_columns(field, window, monkeypatch):
         if not shortcuts:
             monkeypatch.undo()
             _shortcuts_off(monkeypatch)
-        work = _ResolveWork(monkeypatch)
         session = parse_session(CUBIC_SESSION, field_from_name(field))
-        res = truncated_resolution(session.ring, session.ideals["I"], i_max, d_max)
-        builds, reads, _ = work.resolved(res)
+        res, builds, reads, _ = _resolved(session.ring, session.ideals["I"], i_max, d_max)
         columns, degrees = Counter(), {}
-        for i, j, pairs, _ in builds:
-            columns[i] += len(pairs)
-            degrees.setdefault(i, set()).update([j] if pairs else [])
+        for i, j, n in builds:
+            columns[i] += n
+            degrees.setdefault(i, set()).update([j] if n else [])
         periodic = range(6, i_max)
         assert not [i for i in columns if i in periodic and columns[i]]
         assert not [cell for cell in reads if cell[0] in periodic]
@@ -1059,7 +1033,6 @@ def test_copied_cells_match_computed_ones(copy, monkeypatch):
         monkeypatch.undo()
         if not shortcuts:
             _shortcuts_off(monkeypatch)
-        work = _ResolveWork(monkeypatch)
         if copy == "odd steps":
             period = homology._period
 
@@ -1067,13 +1040,14 @@ def test_copied_cells_match_computed_ones(copy, monkeypatch):
                 return i % 2 and period(degrees, images, i, *more)
 
             monkeypatch.setattr(homology, "_period", odd)
-        reruns = Counter()
+        reruns, copied = Counter(), Counter()
         for (label, R, I, J, i_max, d_max), want in zip(_differential_cases(), expected):
-            _, _, cells = work.resolved(truncated_resolution(R, I, i_max, d_max))
+            res, _, _, rerun = _resolved(R, I, i_max, d_max)
             assert outputs(R, I, J, i_max, d_max) == want, label
-            work.clear()  # the Tor ranks' builds
-            reruns.update("top" if i == i_max else "below" for i, _ in cells)
-        assert work.copied and work.tor_steps and reruns["top"]
+            reruns.update("top" if i == i_max else "below" for i, _ in rerun)
+            copied["cells"] += any(c.how == "copied" for c in res.cells)
+            copied["tor steps"] += any(c.how == "copied" for c in tor_table(R, I, J, i_max, d_max).cells)
+        assert copied["cells"] and copied["tor steps"] and reruns["top"]
         assert bool(reruns["below"]) == (copy == "odd steps")
 
 
@@ -1314,34 +1288,25 @@ COLUMNS_BUILT = {
 def test_certified_passes_build_no_columns(name, i_max, d_max, field, monkeypatch):
     """A certified rank pass builds no product column, and with certified
     ranks on, a Tor table with its resolution builds the pinned number of
-    columns, fewer than with them off."""
-    build, independent, rank_pass = homology._image_columns, homology._independent, homology._rank_pass
-    passes = []  # [certified, columns built] per rank pass
+    columns, fewer than with them off. Read from the two cell logs; every
+    pass they say built its columns, a rerun included, went through exactly
+    one elimination."""
 
-    def passed(*args):
-        passes.append([False, 0])
-        return rank_pass(*args)
+    def tor_work():
+        R, I, J = _ladder_case(name, field)
+        tt, eliminations = _eliminated(lambda: tor_table(R, I, J, i_max, d_max))
+        logs = truncated_resolution(R, I, i_max, d_max).cells, tt.cells
+        builds = [b for cells in logs for b in _work(cells)[0]]
+        assert eliminations == len(builds)
+        return builds, [c for cells in logs for c in cells if c.how == "certified"]
 
-    def certify(*args):
-        passes[-1][0] = independent(*args)
-        return passes[-1][0]
-
-    def built(rb, elems, pairs, tgt_degs, j):
-        passes[-1][1] += len(pairs)
-        return build(rb, elems, pairs, tgt_degs, j)
-
-    monkeypatch.setattr(homology, "_rank_pass", passed)
-    monkeypatch.setattr(homology, "_independent", certify)
-    monkeypatch.setattr(homology, "_image_columns", built)
-    tor_table(*_ladder_case(name, field), i_max, d_max)
+    builds, certified = tor_work()
     before, now = COLUMNS_BUILT[name, i_max, d_max]
-    assert sum(n for _, n in passes) == now < before
-    assert [ok for ok, _ in passes].count(True) > len(passes) // 2
-    assert not [n for ok, n in passes if ok and n]
-    passes.clear()
+    assert sum(n for *_, n in builds) == now < before
+    assert len(certified) > (len(certified) + len(builds)) // 2
+    assert not [c for c in certified if c.built]
     _shortcuts_off(monkeypatch)
-    tor_table(*_ladder_case(name, field), i_max, d_max)
-    assert sum(n for _, n in passes) == before
+    assert sum(n for *_, n in tor_work()[0]) == before
 
 
 @pytest.mark.parametrize("field", ["qq", "fp:32003"])
@@ -1361,13 +1326,11 @@ def test_hypersurface_passes_build_only_for_generators(name, i_max, d_max, field
         if not descending:
             monkeypatch.undo()
             monkeypatch.setattr(homology, "_independent", _ascending(independent))
-        work = _ResolveWork(monkeypatch)
         session = parse_session(texts[name], field_from_name(field))
-        res = truncated_resolution(session.ring, session.ideals["I"], i_max, d_max)
-        builds, _, _ = work.resolved(res)
+        res, builds, _, _ = _resolved(session.ring, session.ideals["I"], i_max, d_max)
         generator_cells = {(i, j) for i in range(1, i_max + 1) for j in res.degrees[i]}
         generator_cells |= {(i_max + 1, j) for j in res.top_degrees}
-        idle = {i for i, j, pairs, _ in builds if pairs and not generator_cells & {(i, j), (i + 1, j)}}
+        idle = {i for i, j, n in builds if n and not generator_cells & {(i, j), (i + 1, j)}}
         ascending_only = {2, 3, 4, 5} if name == "cubic_cone" else {2, 3, 4}
         assert idle == (set() if descending else ascending_only), idle
 
@@ -1376,7 +1339,7 @@ def test_hypersurface_passes_build_only_for_generators(name, i_max, d_max, field
 @pytest.mark.parametrize(
     "name, i_max, d_max", [("cubic_cone", 12, 20), ("cubic_cone", 24, 36), ("quadric_cone", 16, 24), ("two_planes", 6, 8)]
 )
-def test_top_step_builds_only_at_top_set_degrees(name, i_max, d_max, field, monkeypatch):
+def test_top_step_builds_only_at_top_set_degrees(name, i_max, d_max, field):
     """Step i_max builds product columns exactly at the degrees of the top
     set, whose kernel reads them. On the hypersurfaces its cells are copied
     from two steps back, and a copied cell's pass reruns only where the top
@@ -1384,11 +1347,40 @@ def test_top_step_builds_only_at_top_set_degrees(name, i_max, d_max, field, monk
     empty. With (24, 36) the top set is empty below d_max, so step i_max
     builds nothing."""
     R, I, _ = _ladder_case(name, field)
-    work = _ResolveWork(monkeypatch)
-    res = truncated_resolution(R, I, i_max, d_max)
-    builds, _, _ = work.resolved(res)
-    assert {j for i, j, pairs, _ in builds if i == i_max and pairs} == set(res.top_degrees)
+    res, builds, _, _ = _resolved(R, I, i_max, d_max)
+    assert {j for i, j, n in builds if i == i_max and n} == set(res.top_degrees)
     assert bool(res.top_degrees) == ((i_max, d_max) != (24, 36))
+
+
+def test_cell_logs_say_what_each_cell_did():
+    """The cell logs of the benchmark's tor ladder and of the cubic cone at
+    (24, 36): per step i, the cells add F_i's generators degree by degree
+    (the top cells, at i_max + 1, the top set's); a certified cell has rank
+    = kept and builds nothing; a copied cell is its source (i - 2, j - s)
+    but for i, j and how, in the resolution and in the Tor ranks alike.
+    From the logs alone, the ladder's eight rungs build 7,714 product
+    columns and the cubic cone 69 in its resolution and 8 in its Tor ranks."""
+    ladder = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "workloads.py"))["tor_ladder"](0)
+    rungs = [(rung["text"], rung["field"], rung["imax"], rung["dmax"]) for rung in ladder]
+    built, copied = [], 0
+    for text, field, i_max, d_max in [*rungs, (CUBIC_SESSION + "ideal J = (y, x + z);", "qq", 24, 36)]:
+        session = parse_session(text, field_from_name(field))
+        tt = tor_table(session.ring, session.ideals["I"], session.ideals["J"], i_max, d_max)
+        res = truncated_resolution(session.ring, session.ideals["I"], i_max, d_max)
+        degrees = (*res.degrees, res.top_degrees)
+        for i in range(1, i_max + 2):
+            assert dict(Counter(degrees[i])) == {c.j: c.new for c in res.cells if c.i == i and c.new}
+        assert {c.i for c in res.cells if c.how == "top"} == {i_max + 1}
+        for log in (res.cells, tt.cells):
+            at = {(c.i, c.j): c for c in log}
+            for c in log:
+                assert c.how != "certified" or (c.rank == c.kept and not c.built)
+                if c.how == "copied":
+                    s = degrees[c.i - 1][0] - degrees[c.i - 3][0]
+                    assert at[c.i - 2, c.j - s]._replace(i=c.i, j=c.j, how="copied") == c
+                    copied += 1
+            built.append(sum(n for *_, n in _work(log)[0]))
+    assert copied and sum(built[:-2]) == 7714 and built[-2:] == [69, 8]
 
 
 # ---------------------------------------------------------------------------
@@ -1445,53 +1437,60 @@ def test_skipped_columns_reduce_to_zero_in_a_full_pass(name, monkeypatch):
     F_i's earlier generators; each one it leaves out reduces to zero against
     all the products before it, and the rank r_i of the built columns is
     the rank of all of them. The reference pass works on ambient monomials
-    modulo the relations, with its own elimination. Each pass is mapped to
-    its step by what it reads; with no cell copied from two steps back and
-    no rank certified, every degree visits steps 1..i_max in turn. With
-    certified ranks on, the passes that still build their columns are
-    checked the same way."""
+    modulo the relations, with its own elimination. The column lists are
+    paired in order with the passes the cell log says built, which name
+    their steps; with no cell copied from two steps back and no rank
+    certified, every degree visits steps 1..i_max in turn. With certified
+    ranks on, the passes that still build their columns are checked the
+    same way."""
     calls = []
     build = homology._image_columns
 
     def recorded(rb, elems, pairs, tgt_degs, j):
         cols = build(rb, elems, pairs, tgt_degs, j)
-        calls.append((tuple(tgt_degs), tuple(elems), j, list(pairs), cols))
+        calls.append((j, list(pairs), cols))
         return cols
 
     monkeypatch.setattr(homology, "_image_columns", recorded)
-    certified, _ = _assert_criterion_on_passes(name, calls, True)
+    certified, _ = _assert_criterion_on_passes(name, calls, False)
     _shortcuts_off(monkeypatch)
     for copying in (True, False):
         if not copying:
             monkeypatch.setattr(homology, "_period", _never)
-        built, skipped = _assert_criterion_on_passes(name, calls, copying)
+        built, skipped = _assert_criterion_on_passes(name, calls, False, copying)
         assert skipped > 0 and built > 0
         if copying:
             assert 0 < certified < built
 
 
-def _assert_criterion_on_passes(name, calls, copying):
-    """The checks of test_skipped_columns_reduce_to_zero_in_a_full_pass on
-    every pass the resolutions of one criterion case run; returns the
-    columns built and skipped."""
+def _assert_criterion_on_passes(name, calls, tor, copying=True):
+    """The checks of the two skipped-column tests on every pass that builds
+    its columns in the resolutions (tor False) or the Tor ranks (tor True)
+    of one criterion case, paired in order with the passes of the cell log
+    that built; returns the columns built and skipped. A resolution pass at
+    (i, j) multiplies F_i's generators below j over R, a Tor pass all of F_i
+    over R/J."""
     built = skipped = 0
-    for R, I, i_max, d_max in _criterion_cases(name):
+    for R, I, J, i_max, d_max in _tor_criterion_cases(name):
         calls.clear()
         res = truncated_resolution(R, I, i_max, d_max)
-        rb = homology._graded_basis(R)
+        if tor:
+            calls.clear()  # the resolution is memoised: what follows are the Tor ranks
+            log = tor_table(R, I, J, i_max, d_max).cells
+        else:
+            J, log = (), res.cells
+        degrees, images = (*res.degrees, res.top_degrees), (*res.images, res.top_images)
+        rb = homology._graded_basis(R, J)
         p = R.field.p
-        step = {}
-        for tgt, elems, j, pairs, cols in calls:
-            if copying:
-                i = _pass_step(res, tgt, elems, j)
-            else:
-                i = step[j] = step.get(j, 0) + 1  # each degree visits steps 1..i_max in turn
-            full = [(g, u) for g, d in enumerate(res.degrees[i]) if d < j for u in rb.basis(j - d)]
+        builds = _work(log)[0]
+        assert [(j, n) for _, j, n in builds] == [(j, len(pairs)) for j, pairs, _ in calls]
+        for (i, j, _), (_, pairs, cols) in zip(builds, calls):
+            full = [(g, u) for g, d in enumerate(degrees[i]) if d < j + tor for u in rb.basis(j - d)]
             kept = set(pairs)
             assert [q for q in full if q in kept] == pairs, (i, j)
-            tgt_degs = [d for d in res.degrees[i - 1] if d <= j]
+            tgt_degs = [d for d in degrees[i - 1] if d <= j]
             rank, zero = full_column_pass(
-                [_ambient_column(res.images[i][g], u) for g, u in full], p, _relation_rows(R, tgt_degs, j)
+                [_ambient_column(images[i][g], u) for g, u in full], p, _relation_rows(R, tgt_degs, j, J)
             )
             assert full_column_pass(cols, p)[0] == rank, (i, j)
             for q, z in zip(full, zero):
@@ -1499,7 +1498,8 @@ def _assert_criterion_on_passes(name, calls, copying):
                     assert z, (i, j, q)
             built += len(pairs)
             skipped += len(full) - len(pairs)
-        assert set(step.values()) <= {i_max}
+        if not copying:  # each degree visits steps 1..i_max in turn
+            assert set(Counter(j for _, j, _ in builds).values()) <= {i_max}
     return built, skipped
 
 
@@ -1540,47 +1540,15 @@ def test_skipped_tor_columns_reduce_to_zero_in_a_full_pass(name, monkeypatch):
 
     def recorded(rb, elems, pairs, tgt_degs, j):
         cols = build(rb, elems, pairs, tgt_degs, j)
-        calls.append((elems, j, list(pairs), cols))
+        calls.append((j, list(pairs), cols))
         return cols
 
     monkeypatch.setattr(homology, "_image_columns", recorded)
-    certified, _ = _assert_tor_criterion_on_passes(name, calls)
+    certified, _ = _assert_criterion_on_passes(name, calls, True)
     _shortcuts_off(monkeypatch)
-    built, skipped = _assert_tor_criterion_on_passes(name, calls)
+    built, skipped = _assert_criterion_on_passes(name, calls, True)
     assert skipped > 0 and built > 0
     assert 0 < certified < built
-
-
-def _assert_tor_criterion_on_passes(name, calls):
-    """The checks of test_skipped_tor_columns_reduce_to_zero_in_a_full_pass
-    on every pass the Tor tables of one criterion case run; returns the
-    columns built and skipped."""
-    built = skipped = 0
-    for R, I, J, i_max, d_max in _tor_criterion_cases(name):
-        res = truncated_resolution(R, I, i_max, d_max)
-        degrees = (*res.degrees, res.top_degrees)
-        images = (*res.images, res.top_images)
-        step = {id(e): i for i, e in enumerate(images) if e}
-        calls.clear()  # the resolution is memoised: what follows are the Tor ranks
-        tor_table(R, I, J, i_max, d_max)
-        nb = homology._graded_basis(R, J)
-        p = R.field.p
-        for elems, j, pairs, cols in calls:
-            i = step[id(elems)]
-            full = [(g, u) for g, d in enumerate(degrees[i]) if d <= j for u in nb.basis(j - d)]
-            kept = set(pairs)
-            assert [q for q in full if q in kept] == pairs, (i, j)
-            tgt_degs = [d for d in degrees[i - 1] if d <= j]
-            rank, zero = full_column_pass(
-                [_ambient_column(elems[g], u) for g, u in full], p, _relation_rows(R, tgt_degs, j, J)
-            )
-            assert full_column_pass(cols, p)[0] == rank, (i, j)
-            for q, z in zip(full, zero):
-                if q not in kept:
-                    assert z, (i, j, q)
-            built += len(pairs)
-            skipped += len(full) - len(pairs)
-    return built, skipped
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """The library's record types, its public names, and what importing the
 library and the test oracles loads.
 
-Six records are NamedTuples (RatFun, ChiResult, TruncatedResolution,
-TorTable, Command, RunOptions); HilbertSeries is an immutable __slots__
-class that sorts its weights; Report and Session are mutable __slots__
-classes.
+Seven records are NamedTuples (RatFun, ChiResult, TruncatedResolution,
+TorTable, Command, RunOptions, and homology.Cell, one entry of the cells
+log that TruncatedResolution and TorTable carry as their last field);
+HilbertSeries is an immutable __slots__ class that sorts its weights; Report
+and Session are mutable __slots__ classes.
 """
 
 import os
@@ -31,6 +32,7 @@ from gradedchi import (
     tor_table,
 )
 from gradedchi.cli import Report, RunOptions
+from gradedchi.homology import Cell
 
 SRC = Path(gradedchi.__file__).resolve().parents[1]
 TESTS = Path(__file__).resolve().parent
@@ -47,11 +49,13 @@ def _frozen_records():
     r, cone, d, c = _cone()
     res = compute_chi(cone, d, c)
     one, t = IntPoly((1,)), IntPoly((0, 1))
+    cells = (Cell(1, 1, "built", 1, 2, 2, 2, False, False, 1), Cell(2, 2, "top", 0, 0, 0, 0, True, True, 1))
     records = [
         (RatFun, (one, IntPoly((1, 1)))),
         (ChiResult, tuple(getattr(res, f) for f in ChiResult._fields)),
-        (TruncatedResolution, (cone, d, 2, 4, ((0,), (1, 1)), ((), ()), (2,), ((),))),
-        (TorTable, (3, 5, {(0, 0): 1, (1, 2): 2}, 4, ((0,), (1, 1)))),
+        (TruncatedResolution, (cone, d, 2, 4, ((0,), (1, 1)), ((), ()), (2,), ((),), cells)),
+        (TorTable, (3, 5, {(0, 0): 1, (1, 2): 2}, 4, ((0,), (1, 1)), cells)),
+        (Cell, tuple(cells[0])),
         (Command, ("chi", ("D", "C"), None, None, {"imax": 2}, 3, 1)),
         (RunOptions, (4, 9, 5)),
         (HilbertSeries, (one - t, (1, 1))),
@@ -127,7 +131,7 @@ def test_tor_tables_of_two_rings_compare_equal():
         tables.append(tor_table(cone, d, c, i_max=3, d_max=5))
     a, b = tables
     assert a is not b and a == b
-    assert a == TorTable(a.i_max, a.d_max, dict(a.entries), a.chi_complete_through, a.betti)
+    assert a.cells and a == TorTable(a.i_max, a.d_max, dict(a.entries), a.chi_complete_through, a.betti, a.cells)
 
 
 def test_report_and_session_are_mutable_with_the_same_parameters():

@@ -123,6 +123,21 @@ def test_non_decimal_digits_exit_one_without_traceback(text, line, col):
     assert done.stderr == f"gradedchi: error: line {line}, col {col}: unexpected character '\u00b2'\n"
 
 
+def test_repeated_flag_is_a_session_error():
+    """A command flag given twice is an error at the second one, not last-wins,
+    both through parse_session and through the command line (exit 1, one
+    stderr line)."""
+    text = "ring R { vars x, y; }\nideal I = (x);\nideal J = (y);\ntor I J --imax 3 --dmax 4 --imax 5;\n"
+    want = "line 4, col 27: repeated flag --imax"
+    with pytest.raises(SessionError) as ei:
+        parse_session(text)
+    assert str(ei.value) == want
+    env = {**os.environ, "PYTHONPATH": str(Path(gradedchi.__file__).parents[1])}
+    argv = [sys.executable, "-m", "gradedchi", "-"]
+    done = subprocess.run(argv, env=env, input=text, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", f"gradedchi: error: {want}\n")
+
+
 def test_error_positions_are_reported():
     bad = "ring R { vars x:1; }\nideal I = (x + w);\nhilbert I;"
     with pytest.raises(SessionError) as ei:
