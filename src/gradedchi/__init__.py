@@ -17,6 +17,7 @@ from .arith import (
     one_minus_t_valuation,
     ratfun_normalize,
     series_expand,
+    weights_denominator,
 )
 from .chi import (
     ChiResult,
@@ -46,7 +47,6 @@ from .hilbert import (
     dim_and_mult,
     hilbert_numerator,
     hilbert_series,
-    weights_denominator,
 )
 from .homology import (
     TorTable,

@@ -132,24 +132,37 @@ ZERO = IntPoly()
 ONE = IntPoly((1,))
 
 
-def format_t_coeffs(coeffs, var: str = "t") -> str:
-    """Ascending-degree text of exact coefficients (ints or Fractions),
-    explicit '*', reparseable; "0" when every coefficient is zero."""
+def weights_denominator(weights) -> IntPoly:
+    """The canonical Hilbert-series denominator prod_i (1 - t^{d_i})."""
+    d = ONE
+    for w in weights:
+        d = d * (ONE - IntPoly.t_power(w))
+    return d
+
+
+def format_terms(terms) -> str:
+    """Signed-term text of (coefficient, monomial text) pairs in print
+    order, the monomial 1 given as "": zero coefficients are left out, a
+    unit coefficient shows only its sign, others join their monomial with
+    an explicit '*'; "0" when no term is left. Coefficients are ints or
+    Fractions."""
     parts = []
-    for k, c in enumerate(coeffs):
+    for c, mono in terms:
         if c == 0:
             continue
         mag = abs(c)
-        if k == 0:
-            body = str(mag)
-        else:
-            tp = var if k == 1 else f"{var}^{k}"
-            body = tp if mag == 1 else f"{mag}*{tp}"
+        body = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:
             parts.append(f"{'+' if c > 0 else '-'} {body}")
     return " ".join(parts) if parts else "0"
+
+
+def format_t_coeffs(coeffs, var: str = "t") -> str:
+    """Ascending-degree text of exact coefficients (ints or Fractions),
+    explicit '*', reparseable; "0" when every coefficient is zero."""
+    return format_terms((c, "" if k == 0 else var if k == 1 else f"{var}^{k}") for k, c in enumerate(coeffs))
 
 
 def format_t_poly(p: IntPoly, var: str = "t") -> str:

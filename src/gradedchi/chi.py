@@ -23,9 +23,10 @@ from .arith import (
     eval_at_one,
     one_minus_t_valuation,
     ratfun_normalize,
+    weights_denominator,
 )
 from .errors import AlgebraError, HomogeneityError, ImproperIntersectionError
-from .hilbert import HilbertSeries, dim_and_mult, hilbert_series, weights_denominator
+from .hilbert import HilbertSeries, dim_and_mult, hilbert_series
 from .rings import GradedRing, Poly, PolyRing
 
 

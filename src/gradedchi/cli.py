@@ -18,14 +18,14 @@ from .arith import Infinity, IntPoly, format_t_coeffs, format_t_poly, series_exp
 from .chi import chi_series, compute_chi, gulliksen_chi, qcartier_mult
 from .errors import AlgebraError, SessionError
 from .hilbert import dim_and_mult, hilbert_series
-from .homology import chi_truncated, naive_series, tor_table
+from .homology import WINDOW, chi_truncated, naive_series, tor_table
 from .rings import field_from_name
 from .session import Session, parse_session
 
 
 class RunOptions(NamedTuple):
-    imax: int = 8
-    dmax: int = 16
+    imax: int = WINDOW[0]
+    dmax: int = WINDOW[1]
     series_terms: int = 10
 
 

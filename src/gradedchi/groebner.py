@@ -54,8 +54,9 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import add, le, mul, sub
 
+from .arith import weights_denominator
 from .errors import AlgebraError
-from .rings import GradedRing, Poly, PolyRing, mono_divides, mono_lcm, mono_mul
+from .rings import GradedRing, Poly, PolyRing, mono_divides, mono_lcm, mono_mul, standard_step
 
 
 class GroebnerBasis:
@@ -240,23 +241,18 @@ class _StandardCount:
     """The standard monomials of the working basis's leading ideal in one
     degree, set against the complete-intersection bound (see the module
     docstring). The pair loop enters degrees in ascending order, so when
-    degree d is built from degree d - 1 every lead of lower degree is final:
-    a monomial is standard when all of its one-variable divisors are and it
-    is no current lead of degree d. A degree with more standard monomials
-    than the working basis has terms would cost more to count than the
-    pairs it can drop; the count stops there (standard is None), and no
-    pair is dropped after it."""
+    degree d is built from degree d - 1 by standard_step every lead of lower
+    degree is final. A degree with more standard monomials than the working
+    basis has terms would cost more to count than the pairs it can drop; the
+    count stops there (standard is None), and no pair is dropped after it."""
 
     __slots__ = ("nvars", "numerator", "degree", "standard", "bound")
 
     def __init__(self, nvars: int, degrees):
-        num = [1]
-        for d in degrees:  # num *= 1 - t^d
-            num = [a - (num[k - d] if k >= d else 0) for k, a in enumerate(num + [0] * d)]
         self.nvars = nvars
-        self.numerator = num
+        self.numerator = weights_denominator(degrees).coeffs
         self.degree = 0
-        self.standard = {(0,) * nvars}
+        self.standard = {(0,) * nvars: None}
         self.bound = 1
 
     def met(self, d: int, basis) -> bool:
@@ -266,22 +262,12 @@ class _StandardCount:
         while self.degree < d and self.standard is not None:
             self.degree += 1
             leads = {b[0] for b in basis if sum(b[0]) == self.degree}
-            prev, cur = self.standard, set()
-            for m in prev:
-                last = n - 1
-                while last and not m[last]:
-                    last -= 1
-                for i in range(last, n):
-                    mm = m[:i] + (m[i] + 1,) + m[i + 1 :]
-                    # the divisors mm / x_j with j < i; mm / x_i is m
-                    if mm not in leads and all(
-                        mm[:j] + (mm[j] - 1,) + mm[j + 1 :] in prev for j in range(i) if mm[j]
-                    ):
-                        cur.add(mm)
+            # every weight is 1, so each variable steps down to degree - 1
+            cur = standard_step([self.standard] * n, leads)
             if len(cur) > sum(1 + len(b[2]) for b in basis):
                 self.standard = None
                 break
-            self.standard = cur
+            self.standard = dict.fromkeys(cur)
             self.bound = sum(
                 c * comb(self.degree - k + n - 1, n - 1)
                 for k, c in enumerate(self.numerator[: self.degree + 1])
@@ -290,9 +276,10 @@ class _StandardCount:
         return self.standard is not None and len(self.standard) == self.bound
 
     def remove(self, lm):
-        """Drop the lead of a new basis element of the current degree."""
+        """Drop the lead of a new basis element of the current degree; the
+        rest keep their ascending order."""
         if self.standard is not None:
-            self.standard.discard(lm)
+            self.standard.pop(lm, None)
             self._check()
 
     def _check(self):

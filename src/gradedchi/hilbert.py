@@ -19,18 +19,11 @@ from .arith import (
     one_minus_t_valuation,
     ratfun_normalize,
     series_expand,
+    weights_denominator,
 )
 from .errors import AlgebraError
 from .groebner import minimalize_monomials
 from .rings import GradedRing, homogeneous_gens, mono_is_one, wdeg
-
-
-def weights_denominator(weights) -> IntPoly:
-    """The canonical Hilbert-series denominator prod_i (1 - t^{d_i})."""
-    d = ONE
-    for w in weights:
-        d = d * (ONE - IntPoly.t_power(w))
-    return d
 
 
 def _pairwise_coprime(monos) -> bool:
@@ -63,10 +56,7 @@ def _numerator(gens, weights) -> IntPoly:
     if any(mono_is_one(m) for m in gens):
         return ZERO
     if _pairwise_coprime(gens):
-        out = ONE
-        for m in gens:
-            out = out * (ONE - IntPoly.t_power(wdeg(m, weights)))
-        return out
+        return weights_denominator(wdeg(m, weights) for m in gens)
     nvars = len(weights)
     counts = [0] * nvars
     for m in gens:

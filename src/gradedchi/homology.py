@@ -77,8 +77,13 @@ canonical) and new generators; a Tor step copies step i - 2's records
 likewise (see _period). Cells are deterministic in what they read, so the
 copy is exact. It fires over hypersurfaces, whose resolutions become
 2-periodic with s the relation's degree (Eisenbud, Trans. AMS 260, 1980),
-never where Betti numbers grow. A kernel that gains vectors reruns the
-copied or certified pass it reads.
+never where Betti numbers grow. A kernel read reruns the pass it reads
+where that pass was copied. It never reads a certified pass: a resolution
+pass certifies only where its kept count reaches need = n_{i-1} - r_{i-1},
+and its rank is at most need, as its products lie in ker d_{i-1}, so kept =
+rank = need and its kept columns have no kernel; step i + 1's need is then
+the pass's skipped count, which products of lower generators meet, and the
+top step reads only where kept > rank.
 
 Everything here is exact: entries of the Tor table are true dimensions for
 all internal degrees <= d_max, because a generator of internal degree above
@@ -99,7 +104,9 @@ from typing import NamedTuple
 from .errors import AlgebraError
 from .groebner import GroebnerBasis, reduce_against
 from .linalg import EchelonSpan, kernel_of_columns
-from .rings import GradedRing, Poly, homogeneous_gens, ideal_key, wdeg
+from .rings import GradedRing, Poly, homogeneous_gens, ideal_key, standard_step, wdeg
+
+WINDOW = (8, 16)  # the default (i_max, d_max) of a resolution or Tor table
 
 
 class GradedBasis:
@@ -124,40 +131,26 @@ class GradedBasis:
 
     def _piece(self, j: int) -> tuple:
         """(basis, index, up, shifts) of degree j: the standard monomials,
-        those no leading monomial divides, in ascending order; their
-        positions; per weight w, up[w][p] masks the products of the p-th
-        standard monomial of degree j - w with the variables of weight w; and
-        the shift tables into degree j, filled by _shift. A monomial
-        is standard when it is no leading monomial and each of its
-        one-variable divisors is standard (a lead dividing it properly divides
-        one of those). One walk makes each candidate once, from its divisor by
-        its last nonzero variable k, and reads its divisors' positions for
-        that test and the masks. The order compares -m[n-1], ..., -m[0]
-        within a degree, so the monomials in x_0 .. x_k end degree j - w_k,
-        and the candidates of k, descending, lie above those of k + 1."""
+        those no leading monomial divides, in ascending order, walked by
+        standard_step from the lower degrees' tables; their positions; per
+        weight w, up[w][p] masks the products of the p-th standard monomial
+        of degree j - w with the variables of weight w; and the shift tables
+        into degree j, filled by _shift."""
         t = self._pieces.get(j)
         if t is None:
             if j < 0:
                 return (), {}, {}, {}
             weights = self.ring.weights
             below = [self._piece(j - w)[1] for w in weights]
-            one = (0,) * len(weights)
-            found = [] if j or one in self._leads else [(one, ())]
-            for k, idx in enumerate(below):
-                for d in reversed(idx):
-                    if any(d[k + 1 :]):
-                        break
-                    m = d[:k] + (d[k] + 1,) + d[k + 1 :]
-                    divisors = [(i, m[:i] + (a - 1,) + m[i + 1 :]) for i, a in enumerate(m) if a]
-                    ups = [(weights[i], below[i].get(v)) for i, v in divisors]
-                    if m not in self._leads and all(p is not None for _, p in ups):
-                        found.append((m, ups))
-            found.reverse()
+            if j:
+                basis = tuple(standard_step(below, self._leads))
+            else:
+                basis = tuple(m for m in [(0,) * len(weights)] if m not in self._leads)
             up = {w: [0] * len(idx) for w, idx in zip(weights, below)}
-            for q, (_, ups) in enumerate(found):
-                for w, p in ups:
-                    up[w][p] |= 1 << q
-            basis = tuple(m for m, _ in found)
+            for q, m in enumerate(basis):
+                for i, a in enumerate(m):
+                    if a:
+                        up[weights[i]][below[i][m[:i] + (a - 1,) + m[i + 1 :]]] |= 1 << q
             t = self._pieces[j] = basis, {m: q for q, m in enumerate(basis)}, up, {}
         return t
 
@@ -229,9 +222,10 @@ class Cell(NamedTuple):
     "copied" (from (i - 2, j - s)), "certified", "built" or "top" (i =
     i_max + 1: no rank pass). rank is its pass's rank; cols, kept and built
     count its products, the kept ones and the columns it built. read: it read
-    step i - 1's kernel at j; rerun: it reran that pass to do so; new: the
-    generators (top vectors) it added. A copied cell repeats its source's
-    record but for i, j and how: that work was done at the source."""
+    step i - 1's kernel at j; rerun: it reran that pass, a copied one, to do
+    so (a certified pass is never read); new: the generators (top vectors)
+    it added. A copied cell repeats its source's record but for i, j and
+    how: that work was done at the source."""
 
     i: int
     j: int
@@ -305,7 +299,7 @@ def _image_columns(rb: GradedBasis, elems, pairs, tgt_degs, j: int) -> list:
     return cols
 
 
-def truncated_resolution(ring: GradedRing, gens, i_max: int = 8, d_max: int = 16):
+def truncated_resolution(ring: GradedRing, gens, i_max: int = WINDOW[0], d_max: int = WINDOW[1]):
     """Minimal graded free resolution of R/<gens> over R, exact in all
     internal degrees <= d_max through homological degree i_max; memoised on
     the ring."""
@@ -467,7 +461,8 @@ def _resolve(ring: GradedRing, gens, i_max: int, d_max: int) -> TruncatedResolut
     # rank at which (i, j) gains no generator, n_{i-1} - r_{i-1} (step 1:
     # any rank, unless an ideal generator of degree j is tested). There a
     # certified pass, like a copied cell, builds no column and leaves built
-    # None; a kernel read at (i + 1, j), the top one included, reruns it.
+    # None. A kernel read at (i + 1, j) reruns a copied pass; it never meets
+    # a certified one (see the module docstring).
     degrees = [[0]] + [[] for _ in range(i_max + 1)]
     images = [[] for _ in range(i_max + 2)]
     dead = [{} for _ in range(i_max + 1)]
@@ -563,7 +558,7 @@ class TorTable(NamedTuple):
         return self.entry(i, self.d_max) == 0 and self.entry(i, self.d_max - 1) == 0
 
 
-def tor_table(ring: GradedRing, I, J, i_max: int = 8, d_max: int = 16) -> TorTable:
+def tor_table(ring: GradedRing, I, J, i_max: int = WINDOW[0], d_max: int = WINDOW[1]) -> TorTable:
     """Graded Tor table of (R/I, R/J), by tensoring the truncated minimal
     resolution of R/I with R/J and taking ranks per graded piece, the top
     ranks from the resolution's generating set of ker d_{i_max}; memoised

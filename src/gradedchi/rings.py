@@ -19,6 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add, le, mul, neg
 
+from .arith import format_terms
 from .errors import AlgebraError, HomogeneityError
 
 # ---------------------------------------------------------------------------
@@ -248,6 +249,34 @@ class PolyRing:
         return f"PolyRing({vs}; {self.field!r})"
 
 
+def standard_step(below, leads) -> list:
+    """The standard monomials of one positive degree, ascending in the one
+    order, from those of the degrees below: below[k] is a dict keyed by the
+    standard monomials one step of x_k lower, in ascending order, and leads
+    contains every leading monomial of this degree. A monomial is standard
+    when it is no lead and each of its one-variable divisors is standard (a
+    lead dividing it properly divides one of those). Each candidate is made
+    once, from its divisor by its last nonzero variable k. PolyRing.key
+    compares -m[n-1], ..., -m[0] within a degree, so the monomials in x_0 ..
+    x_k end below[k], and the candidates of k, descending, lie above those
+    of k + 1: the walk runs descending and is reversed at the end."""
+    found = []
+    for k, lower in enumerate(below):
+        for d in reversed(lower):
+            if any(d[k + 1 :]):
+                break
+            m = d[:k] + (d[k] + 1,) + d[k + 1 :]
+            if m in leads:
+                continue
+            for i in range(k):  # the divisor m / x_k is d
+                if m[i] and m[:i] + (m[i] - 1,) + m[i + 1 :] not in below[i]:
+                    break
+            else:
+                found.append(m)
+    found.reverse()
+    return found
+
+
 class Poly:
     """A sparse polynomial: a map from exponent tuples to nonzero coefficients.
 
@@ -379,31 +408,11 @@ class Poly:
         return self.homogeneous_degree() is not None
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         names = self.ring.names
-        parts = []
-        for m, c in self.sorted_terms():
-            factors = []
-            for n, e in zip(names, m):
-                if e == 1:
-                    factors.append(n)
-                elif e > 1:
-                    factors.append(f"{n}^{e}")
-            mono = "*".join(factors)
-            neg = isinstance(c, (int, Fraction)) and c < 0
-            mag = -c if neg else c
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
-            if not parts:
-                parts.append(f"-{body}" if neg else body)
-            else:
-                parts.append(f"{'-' if neg else '+'} {body}")
-        return " ".join(parts)
+        return format_terms(
+            (c, "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, m) if e))
+            for m, c in self.sorted_terms()
+        )
 
     def __repr__(self):
         return f"<Poly {self}>"

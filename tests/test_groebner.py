@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from math import gcd
+from operator import le
 
 import pytest
 
@@ -428,7 +429,29 @@ def _assert_same_basis(gb, ref):
 def test_hilbert_criterion_matches_plain_buchberger(monkeypatch):
     # the Hilbert criterion only drops pairs that reduce to zero, so the
     # working basis, and with it the minimal basis, is the oracle's; the
-    # divisions it skips are exactly zero reductions
+    # divisions it skips are exactly zero reductions. Whenever the count
+    # runs, its standard monomials are those of its degree that no lead of
+    # the working basis divides, in ascending order
+    import gradedchi.groebner as gr
+
+    checked = []
+
+    class Checked(gr._StandardCount):
+        def met(self, d, basis):
+            out = super().met(d, basis)
+            if self.standard is not None:
+                leads = [b[0] for b in basis if sum(b[0]) <= self.degree]
+                want = [
+                    m
+                    for m in monomials_of_degree((1,) * self.nvars, self.degree)
+                    if not any(all(map(le, lm, m)) for lm in leads)
+                ]
+                want.sort(key=PolyRing(tuple(f"x{i}" for i in range(self.nvars))).key)
+                assert list(self.standard) == want
+                checked.append(any(sum(lm) < self.degree for lm in leads))
+            return out
+
+    monkeypatch.setattr(gr, "_StandardCount", Checked)
     counter = _DivideCounter(monkeypatch)
     rng = random.Random(4078)
     saved = {True: 0, False: 0}
@@ -453,8 +476,10 @@ def test_hilbert_criterion_matches_plain_buchberger(monkeypatch):
             saved[dense] += ref_zeros - zeros
         else:
             assert zeros == ref_zeros
-    # dense sequences of at most n forms skip zero reductions
+    # dense sequences of at most n forms skip zero reductions, and counts
+    # run in degrees above some lead's, where lower leads block monomials
     assert saved[True] > 0
+    assert any(checked)
 
 
 def test_hilbert_criterion_off_path_is_plain_loop(monkeypatch):

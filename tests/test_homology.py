@@ -403,18 +403,37 @@ def test_oracles_import_no_gradedchi_at_module_level():
     assert imported and not {m for m in imported if m.split(".")[0] == "gradedchi"}
 
 
+def _library_imports(name):
+    """The gradedchi modules that gradedchi.<name> imports: (at import time,
+    inside functions, when they are called)."""
+    tree = ast.parse((Path(homology.__file__).parent / f"{name}.py").read_text())
+    found = (set(), set())
+    stack = [(node, False) for node in tree.body]
+    while stack:
+        node, deferred = stack.pop()
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found[deferred].update([node.module.split(".")[0]] if node.module else [a.name for a in node.names])
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            paths = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+            found[deferred].update(p.split(".")[1] for p in paths if p.startswith("gradedchi."))
+        deferred = deferred or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        stack += [(child, deferred) for child in ast.iter_child_nodes(node)]
+    return found
+
+
 def test_homology_shares_no_module_with_the_closed_form():
-    tree = ast.parse(Path(homology.__file__).read_text())
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            imported.add(node.module)
-            if node.module is None:
-                imported.update(a.name for a in node.names)
-        elif isinstance(node, ast.Import):
-            imported.update(a.name for a in node.names)
-    forbidden = {"hilbert", "chi", "gradedchi.hilbert", "gradedchi.chi"}
-    assert not imported & forbidden
+    """The import table of the layers. homology imports nothing from hilbert
+    or chi, so the brute-force route stays independent of the closed form
+    it checks. The rules both routes share sit in the bottom layers, where
+    an import from a higher module would make a cycle: arith imports only
+    errors; rings only errors and arith, but for GradedRing.groebner, which
+    imports groebner when it is called; and groebner none of hilbert, chi,
+    homology, session and cli."""
+    table = {name: _library_imports(name) for name in ("arith", "rings", "groebner", "homology")}
+    assert table["arith"][0] | table["arith"][1] <= {"errors"}
+    assert table["rings"][0] <= {"errors", "arith"} and table["rings"][1] <= {"groebner"}
+    assert not (table["groebner"][0] | table["groebner"][1]) & {"hilbert", "chi", "homology", "session", "cli"}
+    assert table["homology"][0] and not (table["homology"][0] | table["homology"][1]) & {"hilbert", "chi"}
 
 
 def test_tests_patch_only_the_shortcuts_and_the_eliminations():
@@ -1381,6 +1400,40 @@ def test_cell_logs_say_what_each_cell_did():
                     copied += 1
             built.append(sum(n for *_, n in _work(log)[0]))
     assert copied and sum(built[:-2]) == 7714 and built[-2:] == [69, 8]
+
+
+def test_kernel_reads_never_rerun_a_certified_pass():
+    """A resolution pass certifies only where its kept count reaches need =
+    n_{i-1} - r_{i-1}, and its rank is at most need, since its products lie
+    in ker d_{i-1}; so kept = rank = need and its kept columns have no
+    kernel. Step i + 1's need is then the pass's skipped count, which the
+    products of lower generators meet (the syzygy criterion), and the top
+    step reads only where kept > rank. So a kernel read is of a built cell
+    or, at the top step, reruns a copied one. Copied readers repeat their
+    source's read and are skipped."""
+    texts = {n.split(".")[0]: text for n, text in bundled_sessions()}
+    texts["weighted_hypersurface"] = WEIGHTED_HYPERSURFACE
+    windows = [
+        ("two_planes", 5, 7),
+        ("two_planes", 6, 8),
+        ("two_planes", 9, 11),
+        ("cubic_cone", 8, 14),
+        ("cubic_cone", 12, 20),
+        ("cubic_cone", 24, 36),
+        ("quadric_cone", 16, 24),
+        ("rational_normal_cone", 8, 10),
+        ("weighted_hypersurface", 12, 24),
+    ]
+    reads = Counter()
+    for field in ("qq", "fp:32003"):
+        for name, i_max, d_max in windows:
+            session = parse_session(texts[name], field_from_name(field))
+            cells = truncated_resolution(session.ring, session.ideals["I"], i_max, d_max).cells
+            at = {(c.i, c.j): c for c in cells}
+            for c in cells:
+                if c.read and c.how != "copied":
+                    reads[c.how == "top", at[c.i - 1, c.j].how, c.rerun] += 1
+    assert reads == {(False, "built", False): 102, (True, "built", False): 8, (True, "copied", True): 6}
 
 
 # ---------------------------------------------------------------------------
