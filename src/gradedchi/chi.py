@@ -25,9 +25,9 @@ from .arith import (
     ratfun_normalize,
     weights_denominator,
 )
-from .errors import AlgebraError, HomogeneityError, ImproperIntersectionError
+from .errors import AlgebraError, ImproperIntersectionError
 from .hilbert import HilbertSeries, dim_and_mult, hilbert_series
-from .rings import GradedRing, Poly, PolyRing
+from .rings import GradedRing, Poly, PolyRing, homogeneous_gens
 
 
 class Trichotomy(enum.Enum):
@@ -180,11 +180,7 @@ def cartier_mult(ring: GradedRing, f: Poly, gens) -> int:
     """
     if f.is_zero:
         raise AlgebraError("the divisor is cut by the zero function")
-    d = f.homogeneous_degree()
-    if d is None:
-        raise HomogeneityError(f"divisor function {f} is not homogeneous")
-    if d == 0:
-        raise AlgebraError("the divisor function is a unit; it cuts nothing")
+    homogeneous_gens(ring.ambient, (f,), "divisor function")
     hs = hilbert_series(ring, tuple(gens) + (f,))
     dm = dim_and_mult(hs)
     if dm.dim > 0:

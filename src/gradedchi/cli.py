@@ -117,6 +117,7 @@ class Report:
 def _cmd_hilbert(session: Session, cmd, opts: RunOptions):
     (name,) = cmd.idents
     hs = hilbert_series(session.ring, session.ideals[name])
+    dm = dim_and_mult(hs)
     n = opts.series_terms
     coeffs = hs.series(n - 1)
     data = {
@@ -125,22 +126,17 @@ def _cmd_hilbert(session: Session, cmd, opts: RunOptions):
         "numerator": format_t_poly(hs.numerator),
         "denominator": fmt_denominator(hs.weights),
         "series": coeffs,
+        "dim": dm.dim,
+        "e_at_1": fmt_q(dm.mult),
     }
     lines = [
         f"== hilbert {name}",
         f"numerator = {format_t_poly(hs.numerator)}",
         f"denominator = {fmt_denominator(hs.weights)}",
         f"series = {fmt_series(coeffs, n)}",
+        f"dim = {dm.dim}",
+        f"e(1) = {fmt_q(dm.mult)}",
     ]
-    if hs.is_zero:
-        data["zero"] = True
-        lines.append("module = 0 (unit ideal)")
-    else:
-        dm = dim_and_mult(hs)
-        data["dim"] = dm.dim
-        data["e_at_1"] = fmt_q(dm.mult)
-        lines.append(f"dim = {dm.dim}")
-        lines.append(f"e(1) = {fmt_q(dm.mult)}")
     return data, lines
 
 

@@ -331,9 +331,7 @@ def buchberger(gens, ring: PolyRing | GradedRing | None = None) -> GroebnerBasis
     heap: list = []
     pending: set[tuple[int, int]] = set()
 
-    def push(i: int, j: int):
-        if i > j:
-            i, j = j, i
+    def push(i: int, j: int):  # i < j
         big = mono_lcm(lms[i], lms[j])
         heapq.heappush(heap, (key(big), i, j))
         pending.add((i, j))
@@ -344,9 +342,7 @@ def buchberger(gens, ring: PolyRing | GradedRing | None = None) -> GroebnerBasis
 
     while heap:
         _, i, j = heapq.heappop(heap)
-        if (i, j) not in pending:
-            continue
-        pending.discard((i, j))
+        pending.remove((i, j))
         big = mono_lcm(lms[i], lms[j])
         if big == mono_mul(lms[i], lms[j]):
             continue  # coprime leading monomials: S-poly reduces to zero

@@ -141,6 +141,6 @@ def hilbert_series(ring: GradedRing, gens=()) -> HilbertSeries:
     The ring's defining relations are appended automatically, so gens only
     need to generate I modulo those.
     """
-    gens = homogeneous_gens(ring, gens)
+    gens = homogeneous_gens(ring.ambient, gens, "generator", positive=False)
     gb = ring.groebner(gens)
     return HilbertSeries(hilbert_numerator(gb.leading_monomials(), ring.weights), ring.weights)

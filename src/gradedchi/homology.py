@@ -209,14 +209,6 @@ def _graded_basis(ring: GradedRing, gens=()) -> GradedBasis:
     return ring.cached(("graded_basis", ideal_key(gens)), lambda: GradedBasis(ring.groebner(gens)))
 
 
-def _validated_gens(ring: GradedRing, gens):
-    gens = homogeneous_gens(ring, gens)
-    for g in gens:
-        if g.homogeneous_degree() == 0:
-            raise AlgebraError(f"generator {g} is a unit; the quotient module is zero")
-    return gens
-
-
 class Cell(NamedTuple):
     """What cell (i, j) of a resolution, or of the Tor ranks, did. how is
     "copied" (from (i - 2, j - s)), "certified", "built" or "top" (i =
@@ -305,7 +297,7 @@ def truncated_resolution(ring: GradedRing, gens, i_max: int = WINDOW[0], d_max: 
     the ring."""
     if i_max < 0 or d_max < 0:
         raise AlgebraError("imax and dmax must be nonnegative")
-    gens = _validated_gens(ring, gens)
+    gens = homogeneous_gens(ring.ambient, gens, "generator")
     return ring.cached(
         ("resolution", ideal_key(gens), i_max, d_max),
         lambda: _resolve(ring, gens, i_max, d_max),
@@ -565,8 +557,8 @@ def tor_table(ring: GradedRing, I, J, i_max: int = WINDOW[0], d_max: int = WINDO
     on the ring, so a `check` after a `tor` on the same window reuses it."""
     if i_max < 0 or d_max < 0:
         raise AlgebraError("imax and dmax must be nonnegative")
-    J = _validated_gens(ring, J)
-    I = _validated_gens(ring, I)
+    J = homogeneous_gens(ring.ambient, J, "generator")
+    I = homogeneous_gens(ring.ambient, I, "generator")
     return ring.cached(
         ("tor", ideal_key(I), ideal_key(J), i_max, d_max),
         lambda: _tor_table(ring, I, J, i_max, d_max),

@@ -423,22 +423,27 @@ def ideal_key(gens):
     return tuple(sorted(g.canonical_key() for g in gens))
 
 
-def _check_members(ambient: PolyRing, gens) -> None:
+def _check_members(ambient: PolyRing, gens, noun: str = "generator") -> None:
     for g in gens:
         if not isinstance(g, Poly) or (g.ring is not ambient and g.ring != ambient):
-            raise ValueError("generator does not live in the ambient ring")
+            raise ValueError(f"{noun} does not live in the ambient ring")
 
 
-def homogeneous_gens(ring: "GradedRing", gens) -> tuple:
-    """The nonzero generators among gens; raises ValueError on one that is
-    not a polynomial of ring's ambient ring, and HomogeneityError on one
-    that is not homogeneous."""
-    gens = tuple(gens)
-    _check_members(ring.ambient, gens)
-    out = tuple(g for g in gens if not g.is_zero)
+def homogeneous_gens(ambient: PolyRing, forms, noun: str, positive: bool = True) -> tuple:
+    """The nonzero forms, in order: the one check of a relation, an ideal
+    generator or a divisor function. Raises ValueError when a form is not a
+    polynomial of the ambient ring (every form is checked for that first),
+    HomogeneityError on one that is not homogeneous and, when positive,
+    AlgebraError on a nonzero constant, so that R_0 stays the field."""
+    forms = tuple(forms)
+    _check_members(ambient, forms, noun)
+    out = tuple(g for g in forms if not g.is_zero)
     for g in out:
-        if not g.is_homogeneous():
-            raise HomogeneityError(f"generator {g} is not homogeneous")
+        d = g.homogeneous_degree()
+        if d is None:
+            raise HomogeneityError(f"{noun} {g} is not homogeneous")
+        if positive and d == 0:
+            raise AlgebraError(f"{noun} {g} is a unit, a nonzero constant of degree 0")
     return out
 
 
@@ -454,20 +459,8 @@ class GradedRing:
     __slots__ = ("ambient", "relations", "_memo")
 
     def __init__(self, ambient: PolyRing, relations=()):
-        rels = []
-        for r in relations:
-            if not isinstance(r, Poly) or (r.ring is not ambient and r.ring != ambient):
-                raise ValueError("relation does not live in the ambient ring")
-            if r.is_zero:
-                continue
-            d = r.homogeneous_degree()
-            if d is None:
-                raise HomogeneityError(f"relation {r} is not homogeneous")
-            if d == 0:
-                raise AlgebraError(f"relation {r} has degree 0; R_0 must be the ground field")
-            rels.append(r)
         self.ambient = ambient
-        self.relations = tuple(rels)
+        self.relations = homogeneous_gens(ambient, relations, "relation")
         self._memo: dict = {}
 
     @property

@@ -30,8 +30,8 @@ from operator import add
 from typing import NamedTuple
 
 from .arith import IntPoly, RatFun, ratfun_normalize
-from .errors import SessionError
-from .rings import QQ, GradedRing, Poly, PolyRing
+from .errors import AlgebraError, SessionError
+from .rings import QQ, GradedRing, Poly, PolyRing, homogeneous_gens
 
 _SYMBOLS = set("{}(),;:=+-*^/")
 _COMMANDS = ("hilbert", "chi", "tor", "check", "gulliksen", "cartier")
@@ -252,9 +252,7 @@ class _Parser:
         t = self.peek()
         if t.kind == "IDENT" and t.value == "relations":
             self.advance()
-            relations = self.parse_forms(
-                "relation", "has degree 0; the degree-0 part must be the field"
-            )
+            relations = self.parse_forms("relation")
             self.expect_sym(";")
         self.expect_sym("}")
         self.ring = GradedRing(self.ambient, relations)
@@ -267,26 +265,22 @@ class _Parser:
             raise SessionError(f"ideal {name!r} is already declared", name_tok.line, name_tok.col)
         self.expect_sym("=")
         self.expect_sym("(")
-        gens = self.parse_forms("generator", "is a nonzero constant")
+        gens = self.parse_forms("generator")
         self.expect_sym(")")
         self.expect_sym(";")
         self.ideals[name] = tuple(gens)
 
-    def parse_forms(self, what: str, constant_msg: str) -> list:
-        """Comma-separated polynomials, zeros dropped. A form that is not
-        homogeneous raises "{what} {p} is not homogeneous"; one of degree 0
-        raises "{what} {p} {constant_msg}"."""
+    def parse_forms(self, noun: str) -> list:
+        """Comma-separated polynomials, zeros dropped. Each is checked by
+        homogeneous_gens; its verdict is raised at the form's first token."""
         forms = []
         while True:
             start = self.peek()
-            p = self.parse_poly()
-            if not p.is_zero:
-                d = p.homogeneous_degree()
-                if d is None:
-                    raise SessionError(f"{what} {p} is not homogeneous", start.line, start.col)
-                if d == 0:
-                    raise SessionError(f"{what} {p} {constant_msg}", start.line, start.col)
-                forms.append(p)
+            p = self.parse_sum()
+            try:
+                forms += homogeneous_gens(self.ambient, (p,), noun)
+            except AlgebraError as exc:
+                raise SessionError(str(exc), start.line, start.col) from None
             if not self.at_sym(","):
                 return forms
             self.advance()
@@ -324,7 +318,7 @@ class _Parser:
             idents = (self.ideal_ref(), self.ideal_ref())
             flags = self.parse_flags()
         elif kind == "cartier":
-            poly = self.parse_poly()
+            poly = self.parse_sum()
             et = self.peek()
             number = self.expect_int("the integer multiple e")
             if number < 1:
@@ -348,9 +342,6 @@ class _Parser:
         )
 
     # -- polynomial expressions
-
-    def parse_poly(self) -> Poly:
-        return self.parse_sum()
 
     def parse_sum(self) -> Poly:
         """Terms joined by '+' and '-', added into one {exponents: coefficient}

@@ -1,12 +1,18 @@
-"""Fields, the monomial order, sparse polynomials, graded quotient rings."""
+"""Fields, the monomial order, sparse polynomials, graded quotient rings,
+and the one rule for input forms."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from gradedchi.errors import AlgebraError, HomogeneityError
+import gradedchi
+from gradedchi.chi import cartier_mult
+from gradedchi.errors import AlgebraError, HomogeneityError, SessionError
 from gradedchi.hilbert import hilbert_series
+from gradedchi.homology import tor_table, truncated_resolution
 from gradedchi.rings import (
     QQ,
     GradedRing,
@@ -16,12 +22,14 @@ from gradedchi.rings import (
     _MR_BOUND,
     _is_prime,
     field_from_name,
+    homogeneous_gens,
     ideal_key,
     mono_divides,
     mono_lcm,
     mono_mul,
     wdeg,
 )
+from gradedchi.session import parse_session
 
 from oracles import monomials_of_degree, trial_division_is_prime
 
@@ -281,3 +289,103 @@ def test_weighted_degrees_match_enumeration():
             assert r.wdeg(m) == j
     counts = [len(monomials_of_degree(weights, j)) for j in range(7)]
     assert counts == [1, 1, 2, 3, 4, 5, 7]
+
+
+# One rule for input forms: every relation, ideal generator and divisor
+# function is checked by rings.homogeneous_gens, so a bad form gets the same
+# exception and text, by noun, from every entry point.
+_BAD_FORMS = {
+    # name: (session text or None, the form in x, y, z, class, message)
+    "not homogeneous": (
+        "x + y^2",
+        lambda r: r.gen(0) + r.gen(1) ** 2,
+        HomogeneityError,
+        "{noun} y^2 + x is not homogeneous",
+    ),
+    "constant": (
+        "3",
+        lambda r: r.constant(3),
+        AlgebraError,
+        "{noun} 3 is a unit, a nonzero constant of degree 0",
+    ),
+    # a session can only name its own ring's variables
+    "foreign": (
+        None,
+        lambda r: PolyRing(r.names, field=PrimeField(7)).gen(0),
+        ValueError,
+        "{noun} does not live in the ambient ring",
+    ),
+}
+
+
+_LIBRARY_ENTRY_POINTS = {
+    "GradedRing": ("relation", lambda R, x, y, g: GradedRing(R.ambient, [x * y, g])),
+    "truncated_resolution": ("generator", lambda R, x, y, g: truncated_resolution(R, [x, g], 2, 3)),
+    "tor_table I": ("generator", lambda R, x, y, g: tor_table(R, [x, g], [y], 2, 3)),
+    "tor_table J": ("generator", lambda R, x, y, g: tor_table(R, [x], [y, g], 2, 3)),
+    "cartier_mult": ("divisor function", lambda R, x, y, g: cartier_mult(R, g, [x, y])),
+}
+
+
+_SESSION_ENTRY_POINTS = {
+    "session relation": ("relation", "ring R {{ vars x, y, z; relations x*y, {form}; }}"),
+    "session ideal": ("generator", "ring R {{ vars x, y, z; }}\nideal I = (x, {form});"),
+}
+
+
+@pytest.mark.parametrize("bad", list(_BAD_FORMS))
+@pytest.mark.parametrize("entry", list(_LIBRARY_ENTRY_POINTS))
+def test_one_form_rule_from_the_library(entry, bad):
+    _, make, cls, message = _BAD_FORMS[bad]
+    noun, call = _LIBRARY_ENTRY_POINTS[entry]
+    r = PolyRing(("x", "y", "z"))
+    x, y, _ = r.gens()
+    with pytest.raises(Exception) as info:
+        call(GradedRing(r, ()), x, y, make(r))
+    assert type(info.value) is cls
+    assert str(info.value) == message.format(noun=noun)
+
+
+@pytest.mark.parametrize("bad", [b for b, spec in _BAD_FORMS.items() if spec[0] is not None])
+@pytest.mark.parametrize("entry", list(_SESSION_ENTRY_POINTS))
+def test_one_form_rule_from_a_session(entry, bad):
+    form, _, _, message = _BAD_FORMS[bad]
+    noun, template = _SESSION_ENTRY_POINTS[entry]
+    text = template.format(form=form)
+    before = text[: text.index(form)]
+    line, col = before.count("\n") + 1, len(before) - before.rfind("\n")
+    with pytest.raises(SessionError) as info:
+        parse_session(text)
+    assert (info.value.line, info.value.col) == (line, col)
+    assert str(info.value) == f"line {line}, col {col}: " + message.format(noun=noun)
+
+
+def test_form_rule_checks_membership_first_and_keeps_order():
+    r = PolyRing(("x", "y", "z"))
+    x, y, z = r.gens()
+    foreign = PolyRing(r.names, field=PrimeField(7)).gen(0)
+    with pytest.raises(ValueError, match="relation does not live"):
+        GradedRing(r, [x + y * y, foreign])
+    assert homogeneous_gens(r, [z, r.zero(), x * y, y], "generator") == (z, x * y, y)
+    # the Hilbert series alone admits a unit: the unit ideal's module is zero
+    assert homogeneous_gens(r, [r.constant(2)], "generator", positive=False) == (r.constant(2),)
+
+
+def test_only_homogeneous_gens_raises_homogeneity_error():
+    raised = []  # (module, line) of each raise of HomogeneityError
+    for path in sorted(Path(gradedchi.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if getattr(exc, "id", getattr(exc, "attr", None)) == "HomogeneityError":
+                    raised.append((path.stem, node.lineno))
+        if path.stem == "rings":
+            (owner,) = [
+                f
+                for f in tree.body
+                if isinstance(f, ast.FunctionDef) and f.name == "homogeneous_gens"
+            ]
+    assert raised
+    for module, line in raised:
+        assert module == "rings" and owner.lineno <= line <= owner.end_lineno, (module, line)
